@@ -23,6 +23,14 @@ classes of Z/rZ with geodesic length j+1, so N_r(K, s) = [z^{K-s}] g_r^s.
 Explicitly g_2 = 1, g_{2m} = 2 + 2z + ... + 2z^{m-2} + z^{m-1}, and
 g_{2m+1} = 2(1 + z + ... + z^{m-1}).
 
+T_n is never stored. Its action has the suffix-sum form
+
+    (T_n v)_a = v_{a-1} + sum_{b>a} v_b,    v_0 = 0,
+
+one right-to-left pass of n big-int additions, so all four variants
+come from one sweep of (c T_n + d I) applied to v, and the counts for
+K = 1..K_max cost O(n K_max) exact big-int additions.
+
 The logarithmic volume v = lim_K log(V(K)/V(K-1)) follows from the top
 eigenvalue of T_n. The characteristic polynomial a_n(x) = det(T_n - xI)
 obeys a_k = -(x+1)(a_{k-1} + a_{k-2}) with a_0 = 1, a_1 = -x, which
@@ -44,8 +52,8 @@ from functools import lru_cache
 
 import mpmath
 
-GROUP = "group"
-SEMIGROUP = "semigroup"
+from locfree.core import GROUP, SEMIGROUP
+
 PROJECTIVE = "projective"
 RESTRICTED = "restricted"
 
@@ -62,74 +70,25 @@ def _check_variant(variant: str, r) -> None:
         raise ValueError("r is only meaningful for the restricted variant")
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """0/1 succession matrix; entries[a][b] = 1 iff index b+1 may follow a+1."""
-
-    n: int
-    entries: tuple[tuple[int, ...], ...]
-
-
-def transfer_matrix(n: int) -> TransferMatrix:
-    """Succession matrix T_n; row sums are n-1, then n-i+1, then 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rows = []
-    for a in range(1, n + 1):
-        rows.append(tuple(1 if (b == a - 1 or b > a) else 0 for b in range(1, n + 1)))
-    return TransferMatrix(n, tuple(rows))
+def _succession_step(vec: list[int]) -> list[int]:
+    """
+    T_n vec in O(n): (T v)_a = v_{a-1} + sum_{b>a} v_b with v_0 = 0,
+    one right-to-left pass with a running suffix sum.
+    """
+    out = [0] * len(vec)
+    suffix = 0
+    for a in range(len(vec) - 1, -1, -1):
+        out[a] = (vec[a - 1] if a else 0) + suffix
+        suffix += vec[a]
+    return out
 
 
-def _mat_vec(entries, vec):
-    return tuple(sum(r * x for r, x in zip(row, vec)) for row in entries)
-
-
-def _mat_mul(a, b):
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
-def _mat_pow(entries, k):
-    """Exact integer matrix power by repeated squaring."""
-    n = len(entries)
-    result = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    base = entries
-    while k:
-        if k & 1:
-            result = _mat_mul(result, base)
-        base = _mat_mul(base, base)
-        k >>= 1
-    return result
-
-
-def _shifted(entries, scale: int):
-    """scale * entries + identity, over the integers."""
-    return tuple(
-        tuple(scale * x + (1 if i == j else 0) for j, x in enumerate(row))
-        for i, row in enumerate(entries)
-    )
-
-
-def theta_exact(n: int, s: int) -> int:
-    """Number of admissible index sequences of length s: <v, T^{s-1} v>."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    t = transfer_matrix(n)
-    vec = _mat_vec(_mat_pow(t.entries, s - 1), (1,) * n)
-    return sum(vec)
-
-
-def theta_range(n: int, s_max: int) -> list[int]:
-    """[theta_n(1), ..., theta_n(s_max)] by iterated exact matrix-vector products."""
-    if s_max < 1:
-        raise ValueError("s_max must be >= 1")
-    t = transfer_matrix(n)
-    vec = (1,) * n
-    out = [sum(vec)]
-    for _ in range(s_max - 1):
-        vec = _mat_vec(t.entries, vec)
+def _succession_sweep(n: int, k_max: int, c: int, d: int) -> list[int]:
+    """[<v, (c T_n + d I)^k v> for k = 0..k_max-1], v = (1, ..., 1)."""
+    vec = [1] * n
+    out = [n]
+    for _ in range(k_max - 1):
+        vec = [c * t + d * x for t, x in zip(_succession_step(vec), vec)]
         out.append(sum(vec))
     return out
 
@@ -181,7 +140,7 @@ def restricted_syllable_count(r: int, K: int, s: int) -> int:
 
 def _restricted_counts(n: int, k_max: int, r: int) -> list[int]:
     """[V(n, 1), ..., V(n, k_max)] for the order-r restricted group."""
-    thetas = theta_range(n, k_max)
+    thetas = _succession_sweep(n, k_max, 1, 0)
     g = syllable_gf_coefficients(r)
     counts = [0] * k_max
     power = [1]  # g^s, truncated as far as any K <= k_max can use it
@@ -196,43 +155,23 @@ def _restricted_counts(n: int, k_max: int, r: int) -> list[int]:
 
 def count_words(n: int, K: int, variant: str, r: int | None = None) -> int:
     """Exact number of distinct elements of reduced length exactly K."""
-    _check_variant(variant, r)
-    if n < 1 or K < 1:
-        raise ValueError("need n >= 1 and K >= 1")
-    t = transfer_matrix(n)
-    if variant == GROUP:
-        m = _mat_pow(_shifted(t.entries, 2), K - 1)
-        return 2 * sum(_mat_vec(m, (1,) * n))
-    if variant == SEMIGROUP:
-        m = _mat_pow(_shifted(t.entries, 1), K - 1)
-        return sum(_mat_vec(m, (1,) * n))
-    if variant == PROJECTIVE:
-        return theta_exact(n, K)
-    return _restricted_counts(n, K, r)[K - 1]
+    return count_words_range(n, K, variant, r)[K - 1]
 
 
 def count_words_range(n: int, k_max: int, variant: str, r: int | None = None) -> list[int]:
     """
-    [V(n, 1), ..., V(n, k_max)]. Volume diagnostics need every prefix
-    count, so this sweeps with K iterated matrix-vector products
-    instead of K separate matrix powers; both paths are exact and are
-    cross-checked in the tests.
+    [V(n, 1), ..., V(n, k_max)], every prefix count from one sweep of
+    the suffix-sum succession step: O(n k_max) exact big-int additions.
     """
     _check_variant(variant, r)
     if n < 1 or k_max < 1:
         raise ValueError("need n >= 1 and k_max >= 1")
-    t = transfer_matrix(n)
-    if variant == GROUP or variant == SEMIGROUP:
-        m = _shifted(t.entries, 2 if variant == GROUP else 1)
-        scale = 2 if variant == GROUP else 1
-        vec = (1,) * n
-        out = [scale * sum(vec)]
-        for _ in range(k_max - 1):
-            vec = _mat_vec(m, vec)
-            out.append(scale * sum(vec))
-        return out
+    if variant == GROUP:
+        return [2 * x for x in _succession_sweep(n, k_max, 2, 1)]
+    if variant == SEMIGROUP:
+        return _succession_sweep(n, k_max, 1, 1)
     if variant == PROJECTIVE:
-        return theta_range(n, k_max)
+        return _succession_sweep(n, k_max, 1, 0)
     return _restricted_counts(n, k_max, r)
 
 
@@ -266,22 +205,6 @@ def charpoly_coefficients(n: int) -> list[int]:
     return cur
 
 
-def charpoly_from_matrix(n: int) -> list[int]:
-    """
-    The same polynomial det(T_n - xI) computed directly from the matrix
-    (fraction-free Berkowitz via sympy), independent of the recursion.
-    Slow beyond n around 40; exists to certify charpoly_coefficients.
-    """
-    import sympy
-
-    m = sympy.Matrix(transfer_matrix(n).entries)
-    x = sympy.Symbol("x")
-    coeffs = [int(c) for c in m.charpoly(x).all_coeffs()]  # monic det(xI - T)
-    if n % 2:
-        coeffs = [-c for c in coeffs]
-    return coeffs
-
-
 def charpoly_eval(n: int, lam):
     """
     a_n(lam) via the scalar recursion a_k = -(lam+1)(a_{k-1} + a_{k-2}).
@@ -297,24 +220,6 @@ def charpoly_eval(n: int, lam):
     for _ in range(n - 1):
         a_prev, a = a, -(lam + 1) * (a + a_prev)
     return a
-
-
-def charpoly_closed_form(n: int, lam: float) -> float:
-    """
-    a_n(lam) for -1 < lam < 3 via Chebyshev polynomials of the second
-    kind: with 2 cos(t) = sqrt(lam + 1),
-
-        a_n = (-1)^n (lam+1)^{n/2} (U_n(cos t) - U_{n-1}(cos t)/sqrt(lam+1)).
-    """
-    if not -1 < lam < 3:
-        raise ValueError("closed form valid for -1 < lam < 3")
-    root = math.sqrt(lam + 1.0)
-    t = math.acos(root / 2.0)
-    if t == 0.0:
-        raise ValueError("lam too close to 3 for the sine form")
-    u_n = math.sin((n + 1) * t) / math.sin(t)
-    u_n1 = math.sin(n * t) / math.sin(t)
-    return (-1.0) ** n * root**n * (u_n - u_n1 / root)
 
 
 def _deflate_minus_one(coeffs: list[int]) -> tuple[list[int], int]:
@@ -501,16 +406,3 @@ def volume_report(n: int, k_max: int, variant: str, r: int | None = None) -> Vol
         finite_n_limit=limit_log_volume(variant, r, n),
         asymptotic_limit=limit_log_volume(variant, r),
     )
-
-
-def theta_asymptotic(n: int, s: int) -> float:
-    """
-    Large-n, large-s approximation theta_n(s) ~ C (2^n / n^3) 3^{s-1}
-    with C = 16 pi^2 / log^4(2/e). Diagnostic only: the exact ratios
-    theta(s+1)/theta(s) -> lambda_max(n) are what the tests assert; the
-    prefactor is reported, never asserted.
-    """
-    if n < 4 or s < 1:
-        raise ValueError("need n >= 4 and s >= 1")
-    c = 16.0 * math.pi**2 / math.log(2.0 / math.e) ** 4
-    return c * 2.0**n / n**3 * 3.0 ** (s - 1)

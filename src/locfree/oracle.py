@@ -106,7 +106,7 @@ def _syllable_key(n, columns) -> bytes:
         parts.append(pack(len(col)))
         for level, cls in col:
             parts.append(pack(level))
-            parts.append(bytes([cls]))
+            parts.append(pack(cls))
     return b"".join(parts)
 
 

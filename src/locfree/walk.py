@@ -475,55 +475,6 @@ def run_walk(params: WalkParams, engine: str = "auto") -> tuple[dict, list[WalkS
 # The roof indicator Markov chain, abstracted away from cell levels.
 
 
-def roof_chain_step(eps, r: int, mode: str = SEMIGROUP, boundary: str = OPEN) -> tuple[int, ...]:
-    """
-    One update of the roof indicator vector at column r (1-based).
-
-    Growth (column not in the roof): the new top cell of column r joins
-    the roof and evicts both neighbors, whatever the surrounding
-    pattern. Column already in the roof: a semigroup letter stacks onto
-    the same syllable and changes nothing; a group reduction removes
-    the roof cell and clears the mark. The caller decides whether a
-    group letter hitting the roof reduces (opposite sign, probability
-    1/2) or stacks (same sign: no change); this function applies the
-    reduction when mode is "group".
-
-    boundary "periodic" joins columns n and 1 as neighbors; the open
-    chain is what heap dynamics induce, the periodic one is the
-    translation-invariant variant whose stationary ones-density is
-    exactly 1/3.
-    """
-    n = len(eps)
-    if not 1 <= r <= n:
-        raise ValueError(f"column {r} out of range 1..{n}")
-    if boundary not in (OPEN, PERIODIC):
-        raise ValueError("boundary must be open or periodic")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    out = list(eps)
-    if any(x not in (0, 1) for x in out):
-        raise ValueError("indicator entries must be 0 or 1")
-
-    def nbrs(j0):  # 0-based neighbor indices
-        if boundary == PERIODIC:
-            return ((j0 - 1) % n, (j0 + 1) % n) if n > 1 else ()
-        return tuple(k for k in (j0 - 1, j0 + 1) if 0 <= k < n)
-
-    for j0 in range(n):
-        if out[j0] == 1 and any(out[k] for k in nbrs(j0)):
-            raise ValueError("adjacent columns cannot both be in the roof")
-
-    j = r - 1
-    if out[j] == 1:
-        if mode == GROUP:
-            out[j] = 0
-        return tuple(out)
-    out[j] = 1
-    for k in nbrs(j):
-        out[k] = 0
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class RoofChainResult:
     n: int
@@ -550,7 +501,20 @@ def roof_chain_run(
     Drive the indicator chain with uniform columns (and, in group mode,
     a fair sign coin deciding whether a letter aimed at a roof column
     reduces or stacks) and measure the stationary ones-density.
+
+    Growth (column not in the roof): the column joins the roof and
+    evicts both neighbors. Column already in the roof: a semigroup
+    letter changes nothing; a group letter of opposite sign reduces and
+    clears the mark. boundary "periodic" joins columns n and 1; the
+    open chain is what heap dynamics induce, the periodic one is the
+    translation-invariant variant whose ones-density is exactly 1/3.
     """
+    if n < 1 or steps < 1:
+        raise ValueError("need n >= 1 and steps >= 1")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    if boundary not in (OPEN, PERIODIC):
+        raise ValueError("boundary must be open or periodic")
     if burn_in is None:
         burn_in = min(10 * n, steps - 1)
     if not 0 <= burn_in < steps:
@@ -614,32 +578,3 @@ def roof_chain_run(
         final=tuple(eps),
         series=tuple(series),
     )
-
-
-@dataclass(frozen=True)
-class RoofSupportCount:
-    """Count of admissible roof supports, with the growth ratio to n-1."""
-
-    n: int
-    colored: bool
-    count: int
-    ratio: float | None
-
-
-def roof_support_enumerate(n: int, colored: bool = False) -> RoofSupportCount:
-    """
-    Number of indicator vectors on n columns with no two adjacent ones,
-    the empty vector included; colored counts each marked column with
-    either sign. Satisfies a(n) = a(n-1) + w a(n-2) with w = 1 (plain,
-    Fibonacci growth to the golden mean) or w = 2 (colored, growth 2).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > 30:
-        raise ValueError("supported up to n = 30")
-    w = 2 if colored else 1
-    prev, cur = 1, 1 + w  # a(0), a(1)
-    for _ in range(n - 1):
-        prev, cur = cur, cur + w * prev
-    ratio = cur / prev if n >= 2 else None
-    return RoofSupportCount(n, colored, cur, ratio)

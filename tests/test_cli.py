@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -324,6 +327,13 @@ def test_inequality_partial_triple_rejected(capsys):
 
 
 # --- exit codes -----------------------------------------------------------------
+
+
+def test_cli_import_leaves_sympy_out():
+    # sympy is a test dependency only; the command line must not load it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = f"import sys; sys.path.insert(0, {src!r}); import locfree.cli; sys.exit('sympy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], timeout=120).returncode == 0
 
 
 def test_help_exits_zero(capsys):

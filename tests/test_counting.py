@@ -3,23 +3,24 @@ from fractions import Fraction
 
 import pytest
 
-from locfree import counting
+from locfree import core, counting
 from locfree.counting import GROUP, PROJECTIVE, RESTRICTED, SEMIGROUP
 
+import densematrix
 
-# --- transfer matrix -------------------------------------------------------
+
+# --- succession operator --------------------------------------------------
 
 
 def test_transfer_matrix_small():
-    assert counting.transfer_matrix(1).entries == ((0,),)
-    assert counting.transfer_matrix(2).entries == ((0, 1), (1, 0))
-    assert counting.transfer_matrix(3).entries == ((0, 1, 1), (1, 0, 1), (0, 1, 0))
+    assert densematrix.transfer_matrix(1) == ((0,),)
+    assert densematrix.transfer_matrix(2) == ((0, 1), (1, 0))
+    assert densematrix.transfer_matrix(3) == ((0, 1, 1), (1, 0, 1), (0, 1, 0))
 
 
 def test_transfer_matrix_row_sums():
     n = 8
-    t = counting.transfer_matrix(n)
-    sums = [sum(row) for row in t.entries]
+    sums = [sum(row) for row in densematrix.transfer_matrix(n)]
     assert sums[0] == n - 1
     assert sums[-1] == 1
     assert sums[1:-1] == [n - i + 1 for i in range(2, n)]
@@ -27,27 +28,36 @@ def test_transfer_matrix_row_sums():
 
 def test_transfer_matrix_rejects_zero():
     with pytest.raises(ValueError):
-        counting.transfer_matrix(0)
+        densematrix.transfer_matrix(0)
+
+
+def test_succession_step_columns_are_the_rule():
+    # column b of T_n is the step applied to e_b; entry a is the core rule
+    for n in range(1, 9):
+        dense = densematrix.transfer_matrix(n)
+        for b in range(1, n + 1):
+            unit = [1 if j == b else 0 for j in range(1, n + 1)]
+            column = counting._succession_step(unit)
+            for a in range(1, n + 1):
+                allowed = int(core.succession_allowed(n, a, b))
+                assert column[a - 1] == allowed == dense[a - 1][b - 1], (n, a, b)
 
 
 # --- theta -----------------------------------------------------------------
 
 
 def test_theta_two_columns():
-    for s in range(1, 11):
-        assert counting.theta_exact(2, s) == 2
+    assert counting.count_words_range(2, 10, PROJECTIVE) == [2] * 10
 
 
 def test_theta_three_columns():
-    assert counting.theta_exact(3, 1) == 3
-    assert counting.theta_exact(3, 2) == 5
-    assert counting.theta_exact(3, 3) == 8
+    assert counting.count_words_range(3, 3, PROJECTIVE) == [3, 5, 8]
 
 
 def test_theta_range_matches_pointwise():
     for n in (1, 2, 3, 5):
-        rng = counting.theta_range(n, 9)
-        assert rng == [counting.theta_exact(n, s) for s in range(1, 10)]
+        rng = counting.count_words_range(n, 9, PROJECTIVE)
+        assert rng == [densematrix.theta(n, s) for s in range(1, 10)]
 
 
 # --- count_words -----------------------------------------------------------
@@ -77,12 +87,13 @@ def test_free_group_and_semigroup_closed_forms():
 
 
 def test_range_matches_single_calls():
+    k_max = 12
     for variant, r in ((GROUP, None), (SEMIGROUP, None), (PROJECTIVE, None), (RESTRICTED, 4)):
-        for n in (1, 3, 4):
-            swept = counting.count_words_range(n, 7, variant, r)
-            assert swept == [
-                counting.count_words(n, k, variant, r) for k in range(1, 8)
-            ]
+        for n in (1, 2, 3, 4, 8):
+            dense = [densematrix.count_words(n, k, variant, r) for k in range(1, k_max + 1)]
+            assert counting.count_words_range(n, k_max, variant, r) == dense, (variant, n)
+            singles = [counting.count_words(n, k, variant, r) for k in range(1, k_max + 1)]
+            assert singles == dense, (variant, n)
 
 
 def test_variant_validation():
@@ -177,7 +188,7 @@ def test_charpoly_eval_examples():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 13, 21, 30])
 def test_charpoly_recursion_certified_by_matrix(n):
-    assert counting.charpoly_coefficients(n) == counting.charpoly_from_matrix(n)
+    assert counting.charpoly_coefficients(n) == densematrix.charpoly_from_matrix(n)
 
 
 def test_charpoly_eval_matches_coefficients():
@@ -190,11 +201,29 @@ def test_charpoly_eval_matches_coefficients():
             assert counting.charpoly_eval(n, lam) == horner
 
 
+def charpoly_closed_form(n: int, lam: float) -> float:
+    """
+    a_n(lam) for -1 < lam < 3 via Chebyshev polynomials of the second
+    kind: with 2 cos(t) = sqrt(lam + 1),
+
+        a_n = (-1)^n (lam+1)^{n/2} (U_n(cos t) - U_{n-1}(cos t)/sqrt(lam+1)).
+    """
+    if not -1 < lam < 3:
+        raise ValueError("closed form valid for -1 < lam < 3")
+    root = math.sqrt(lam + 1.0)
+    t = math.acos(root / 2.0)
+    if t == 0.0:
+        raise ValueError("lam too close to 3 for the sine form")
+    u_n = math.sin((n + 1) * t) / math.sin(t)
+    u_n1 = math.sin(n * t) / math.sin(t)
+    return (-1.0) ** n * root**n * (u_n - u_n1 / root)
+
+
 def test_charpoly_closed_form_agrees():
     for n in (2, 5, 11, 24):
         for lam in (-0.75, -0.2, 0.5, 1.3, 2.4, 2.9):
             rec = counting.charpoly_eval(n, lam)
-            closed = counting.charpoly_closed_form(n, lam)
+            closed = charpoly_closed_form(n, lam)
             assert closed == pytest.approx(rec, rel=1e-9, abs=1e-9)
 
 
@@ -263,14 +292,8 @@ def test_volume_report_shape_and_acceleration():
 
 
 def test_theta_ratio_converges_to_lambda_max():
-    thetas = counting.theta_range(30, 161)
+    thetas = counting.count_words_range(30, 161, PROJECTIVE)
     lam = counting.lambda_max(30)
     errs = [abs(thetas[s] / thetas[s - 1] - lam) for s in (40, 80, 160)]
     assert errs[2] < errs[1] < errs[0]
     assert errs[0] < 0.1
-
-
-def test_theta_asymptotic_is_positive_diagnostic():
-    assert counting.theta_asymptotic(30, 40) > 0
-    with pytest.raises(ValueError):
-        counting.theta_asymptotic(3, 5)

@@ -52,6 +52,13 @@ def test_ball_matches_count_words(variant, r):
             assert census.counts.get(k, 0) == expected, (variant, r, n, k)
 
 
+def test_ball_restricted_large_order():
+    # classes up to r - 1 = 299 must survive the state key
+    census = oracle.enumerate_ball(2, 3, counting.RESTRICTED, r=300)
+    counts = [census.counts[k] for k in range(1, 4)]
+    assert counts == counting.count_words_range(2, 3, counting.RESTRICTED, 300)
+
+
 def test_ball_budget():
     with pytest.raises(oracle.BudgetExceeded):
         oracle.enumerate_ball(3, 3, GROUP, max_states=10)

