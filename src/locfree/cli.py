@@ -154,6 +154,12 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_walk(args) -> int:
+    if args.format == "csv" and args.snapshot_every == 0:
+        raise ValueError(
+            "csv walk output is the roof-snapshot table; set --snapshot-every"
+        )
+    if args.format == "json" and args.snapshot_every > 0 and args.out is None:
+        raise ValueError("json walk output with snapshots needs --out")
     params = walk.WalkParams(
         n=args.n,
         steps=args.steps,
@@ -173,21 +179,19 @@ def _cmd_walk(args) -> int:
         args, ["mode", "n", "steps", "trials", "seed", "burn_in", "snapshot_every", "format"]
     )
     if args.format == "csv":
-        if args.snapshot_every == 0:
-            raise ValueError(
-                "csv walk output is the roof-snapshot table; set --snapshot-every"
-            )
         _csv(comment, "step,column,top_level,in_roof", snap_rows, args.out)
         return 0
     _emit_json(report, args.out)
     if args.snapshot_every > 0:
-        if args.out is None:
-            raise ValueError("json walk output with snapshots needs --out")
         _csv(comment, "step,column,top_level,in_roof", snap_rows, args.out + ".snapshots.csv")
     return 0
 
 
 def _cmd_roof_chain(args) -> int:
+    if args.format == "csv" and args.snapshot_every == 0:
+        raise ValueError(
+            "csv roof-chain output is the ones time series; set --snapshot-every"
+        )
     result = walk.roof_chain_run(
         n=args.n,
         steps=args.steps,
@@ -201,10 +205,6 @@ def _cmd_roof_chain(args) -> int:
         args, ["mode", "n", "steps", "seed", "boundary", "burn_in", "snapshot_every", "format"]
     )
     if args.format == "csv":
-        if args.snapshot_every == 0:
-            raise ValueError(
-                "csv roof-chain output is the ones time series; set --snapshot-every"
-            )
         _csv(comment, "step,ones", result.series, args.out)
     else:
         _emit_json(

@@ -52,6 +52,8 @@ MODES = (GROUP, SEMIGROUP)
 
 # A cell is (level, color) with level >= 1 and color in {+1, -1}.
 Cell = tuple[int, int]
+# columns[i] holds the cells of column i+1 in ascending level order.
+Columns = tuple[tuple[Cell, ...], ...]
 
 _U32 = struct.Struct("<I")
 
@@ -137,7 +139,7 @@ class ColoredHeap:
 
     n: int
     mode: str = GROUP
-    columns: tuple[tuple[Cell, ...], ...] = ()
+    columns: Columns = ()
 
     def __post_init__(self):
         if self.n < 1:
@@ -173,37 +175,55 @@ def empty_heap(n: int, mode: str = GROUP) -> ColoredHeap:
     return ColoredHeap(n, mode)
 
 
+def _drop_push(columns: Columns, i: int, label: int, merge=None) -> Columns:
+    """
+    Push a piece labelled `label` onto column i (1-based) of raw columns.
+
+    The piece falls to the drop level, one above the highest top among
+    columns i-1, i and i+1. When column i's own top piece sits just
+    below the drop level (it is the unique maximum of its neighborhood,
+    hence removable), the letter may merge into it instead: merge(top label, label) returns None to stack the
+    new piece anyway, 0 to delete the top piece, or the top piece's new
+    label. merge=None always stacks. Returns the new columns tuple.
+    """
+    col = columns[i - 1]
+    mid = col[-1][0] if col else 0
+    left = columns[i - 2][-1][0] if i >= 2 and columns[i - 2] else 0
+    right = columns[i][-1][0] if i < len(columns) and columns[i] else 0
+    drop = 1 + max(left, mid, right)
+    merged = merge(col[-1][1], label) if merge and col and mid == drop - 1 else None
+    if merged is None:
+        col = col + ((drop, label),)
+    elif merged == 0:
+        col = col[:-1]
+    else:
+        col = col[:-1] + ((mid, merged),)
+    return columns[: i - 1] + (col,) + columns[i:]
+
+
+def _cancel(top: int, sign: int) -> int | None:
+    """Group merge rule: a letter deletes a removable top cell of the opposite color."""
+    return 0 if top == -sign else None
+
+
 def push_letter(heap: ColoredHeap, letter: Letter) -> ColoredHeap:
     """
     Heap of w * f_i^s given the heap of w.
 
-    The arriving cell falls to drop level 1 + max(top of i-1, i, i+1).
-    Group mode cancels when the same-column top cell sits exactly at
-    drop level - 1 (equivalently: it is the unique maximum of the
-    neighborhood, hence in the roof) and has color -s. The cell count
-    changes by exactly +1 or -1.
+    The arriving cell, colored s, is pushed by _drop_push. Group mode
+    cancels it against a removable same-column top cell of color -s;
+    semigroup mode always stacks. The cell count changes by exactly +1
+    or -1.
     """
     i, s = letter.index, letter.sign
-    n = heap.n
-    if not 1 <= i <= n:
-        raise ValueError(f"letter index {i} out of range 1..{n}")
+    if not 1 <= i <= heap.n:
+        raise ValueError(f"letter index {i} out of range 1..{heap.n}")
     if s not in (1, -1):
         raise ValueError("letter sign must be +1 or -1")
     if heap.mode == SEMIGROUP and s != 1:
         raise ValueError("semigroup heaps accept only positive letters")
-
-    cols = heap.columns
-    col = cols[i - 1]
-    mid = col[-1][0] if col else 0
-    left = cols[i - 2][-1][0] if i >= 2 and cols[i - 2] else 0
-    right = cols[i][-1][0] if i <= n - 1 and cols[i] else 0
-    drop = 1 + max(left, mid, right)
-
-    if heap.mode == GROUP and col and mid == drop - 1 and col[-1][1] == -s:
-        new_col = col[:-1]
-    else:
-        new_col = col + ((drop, s),)
-    return ColoredHeap(n, heap.mode, cols[: i - 1] + (new_col,) + cols[i:])
+    merge = _cancel if heap.mode == GROUP else None
+    return ColoredHeap(heap.n, heap.mode, _drop_push(heap.columns, i, s, merge))
 
 
 def heap_from_word(letters, n: int, mode: str = GROUP) -> ColoredHeap:

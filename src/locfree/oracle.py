@@ -1,22 +1,25 @@
 """
 Brute-force ground truth at small sizes.
 
-Nothing in this module knows the counting formulas. Cayley balls are
-grown by breadth-first closure under single-letter pushes, with states
-deduplicated by their canonical heap; exact walk distributions come
-from dynamic programming over the same state space with integer path
-counts. Agreement between these enumerations and the transfer-matrix
-counts is the central correctness gate of the package.
+Nothing in this module knows the counting formulas. All four variants
+are heaps of pieces: a state is a tuple of columns, each a tuple of
+(level, label) pieces in ascending level order, and a letter is pushed
+by core._drop_push under the variant's merge rule for a removable top
+piece of its column. The group cancels opposite colors and the
+semigroup always stacks, exactly as core.push_letter does, so their
+state is core.heap_from_word(w, n).columns. The projective semigroup
+(f_i^2 = f_i) absorbs the letter into the piece; the restricted-order
+quotient (f_i^r = 1) labels pieces by exponent classes in Z/rZ \\ {0},
+adds the letter's class and deletes the piece when it reaches 0. Either
+way the state is the normal form, so the tuple itself is the key and
+key equality is element equality.
 
-For the group and the semigroup, states are core.ColoredHeap values.
-The projective semigroup (f_i^2 = f_i) and the restricted-order
-quotients (f_i^r = 1) need a coarser state: the same heap geometry but
-with one piece per syllable, labeled by its exponent class. Pushing a
-letter onto a column whose top piece is currently removable merges into
-that piece (adding exponents mod r, deleting the piece when the class
-hits zero; in the projective case the class is absorbed), otherwise it
-stacks a new piece. This is the normal-form state of the quotient, so
-key equality is element equality there as well.
+One breadth-first explorer interns every state within a number of
+pushes together with its transition row. Cayley-ball censuses count its
+states by depth; exact walk distributions come from dynamic programming
+over the same table with integer path counts. Agreement between these
+enumerations and the transfer-matrix counts is the central correctness
+gate of the package.
 
 Budgets are deliberately conservative and explicit. Callers may raise
 them (the acceptance suite does, for the n=2 group at N=12 whose ball
@@ -27,7 +30,7 @@ never a silent truncation.
 from __future__ import annotations
 
 import math
-import struct
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,8 +43,6 @@ from locfree.counting import (
     VARIANTS,
     _check_variant,
 )
-
-_U32 = struct.Struct("<I")
 
 # Default enumeration budgets (states); see module docstring.
 BALL_STATE_BUDGET = 2_000_000
@@ -61,118 +62,10 @@ class BallCensus:
     r: int | None
     radius: int
     counts: dict[int, int]  # length -> number of elements
-    elements: dict[bytes, int]  # canonical key -> length
+    elements: dict[core.Columns, int]  # state columns tuple -> length
 
     def total(self) -> int:
         return sum(self.counts.values())
-
-
-# ---------------------------------------------------------------------------
-# Quotient states (projective / restricted): heaps of exponent-class pieces
-
-
-def _syllable_push(columns, n, i, delta, r):
-    """
-    Push one letter of sign delta onto column i (0-based) of a
-    syllable-piece heap. columns[i] is a tuple of (level, class) pieces;
-    classes live in Z/rZ \\ {0}, or are the constant 1 when r is None
-    (projective absorption). Returns the new columns tuple.
-    """
-    col = columns[i]
-    mid = col[-1][0] if col else 0
-    left = columns[i - 1][-1][0] if i >= 1 and columns[i - 1] else 0
-    right = columns[i + 1][-1][0] if i + 1 < n and columns[i + 1] else 0
-    drop = 1 + max(left, mid, right)
-
-    if col and mid == drop - 1:
-        # top piece of the neighborhood: the letter joins its syllable
-        if r is None:
-            return columns  # f_i f_i = f_i
-        cls = (col[-1][1] + delta) % r
-        if cls == 0:
-            new_col = col[:-1]
-        else:
-            new_col = col[:-1] + ((mid, cls),)
-    else:
-        cls = 1 if r is None else delta % r
-        new_col = col + ((drop, cls),)
-    return columns[: i] + (new_col,) + columns[i + 1 :]
-
-
-def _syllable_key(n, columns) -> bytes:
-    pack = _U32.pack
-    parts = [pack(n)]
-    for col in columns:
-        parts.append(pack(len(col)))
-        for level, cls in col:
-            parts.append(pack(level))
-            parts.append(pack(cls))
-    return b"".join(parts)
-
-
-def enumerate_ball(
-    n: int,
-    radius: int,
-    variant: str,
-    r: int | None = None,
-    max_states: int = BALL_STATE_BUDGET,
-) -> BallCensus:
-    """
-    Breadth-first enumeration of all elements of reduced length up to
-    `radius`, counted by exact length (= BFS depth, since every push
-    changes the minimal spelling by at most one letter).
-    """
-    _check_variant(variant, r)
-    if n < 1 or radius < 0:
-        raise ValueError("need n >= 1 and radius >= 0")
-
-    if variant in (GROUP, SEMIGROUP):
-        start = core.empty_heap(n, variant)
-        signs = (1, -1) if variant == GROUP else (1,)
-        letters = [core.Letter(i, s) for i in range(1, n + 1) for s in signs]
-
-        def expand(state):
-            return [core.push_letter(state, g) for g in letters]
-
-        def key_of(state):
-            return core.canonical_key(state)
-
-    else:
-        rr = None if variant == PROJECTIVE else r
-        start = ((),) * n
-        signs = (1,) if variant == PROJECTIVE else (1, -1)
-        moves = [(i, s) for i in range(n) for s in signs]
-
-        def expand(state):
-            return [_syllable_push(state, n, i, s, rr) for i, s in moves]
-
-        def key_of(state):
-            return _syllable_key(n, state)
-
-    seen = {key_of(start): 0}
-    frontier = [start]
-    counts = {0: 1}
-    for depth in range(1, radius + 1):
-        nxt = []
-        for state in frontier:
-            for succ in expand(state):
-                k = key_of(succ)
-                if k not in seen:
-                    if len(seen) >= max_states:
-                        raise BudgetExceeded(
-                            f"ball (n={n}, radius={radius}, {variant}) "
-                            f"exceeds {max_states} states"
-                        )
-                    seen[k] = depth
-                    nxt.append(succ)
-        if nxt:
-            counts[depth] = len(nxt)
-        frontier = nxt
-    return BallCensus(n, variant, r, radius, counts, seen)
-
-
-# ---------------------------------------------------------------------------
-# Exact walk distributions
 
 
 @dataclass(frozen=True)
@@ -182,57 +75,81 @@ class ExactDistribution:
     n: int
     mode: str
     steps: int
-    probabilities: dict[bytes, Fraction]
+    probabilities: dict[core.Columns, Fraction]  # state columns tuple -> mass
+
+
+def _letters(n: int, variant: str, r: int | None):
+    """The variant's letters as (column, label) pushes, and its merge rule."""
+    if variant == GROUP:
+        labels, merge = (1, -1), core._cancel
+    elif variant == SEMIGROUP:
+        labels, merge = (1,), None
+    elif variant == PROJECTIVE:
+        labels, merge = (1,), lambda top, label: top  # f_i f_i = f_i
+    else:
+        labels, merge = (1 % r, -1 % r), lambda top, label: (top + label) % r
+    return [(i, label) for i in range(1, n + 1) for label in labels], merge
 
 
 class _Interned:
-    """Reachable states within `steps` pushes, with a transition table."""
+    """
+    Every state within `steps` pushes of the identity, breadth first.
 
-    def __init__(self, n: int, steps: int, mode: str, max_states: int):
-        signs = (1, -1) if mode == GROUP else (1,)
-        letters = [core.Letter(i, s) for i in range(1, n + 1) for s in signs]
-        start = core.empty_heap(n, mode)
-        heaps = [start]
-        ids = {start.columns: 0}
+    states[sid] is the columns tuple, depth_of[sid] the push count that
+    first reached it, which is its reduced length: every push changes
+    the length by at most one. succ[sid] lists the successor ids in
+    letter order; states first reached at full depth are not stepped
+    from. max_states=None means BALL_STATE_BUDGET.
+    """
+
+    def __init__(
+        self, n: int, steps: int, variant: str, r: int | None = None,
+        max_states: int | None = None,
+    ):
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        budget = BALL_STATE_BUDGET if max_states is None else max_states
+        letters, merge = _letters(n, variant, r)
+        push = core._drop_push
+        start = ((),) * n
+        states = [start]
+        ids = {start: 0}
         depth_of = [0]
         succ: list[tuple[int, ...]] = []
         frontier = [0]
         for depth in range(1, steps + 1):
             nxt = []
             for sid in frontier:
-                state = heaps[sid]
+                state = states[sid]
                 row = []
-                for g in letters:
-                    t = core.push_letter(state, g)
-                    tid = ids.get(t.columns)
+                for i, label in letters:
+                    t = push(state, i, label, merge)
+                    tid = ids.get(t)
                     if tid is None:
-                        if len(heaps) >= max_states:
+                        if len(states) >= budget:
                             raise BudgetExceeded(
-                                f"distribution (n={n}, N={steps}, {mode}) "
-                                f"exceeds {max_states} states"
+                                f"{variant} states within {steps} pushes (n={n}) "
+                                f"exceed {budget}"
                             )
-                        tid = len(heaps)
-                        ids[t.columns] = tid
-                        heaps.append(t)
+                        tid = ids[t] = len(states)
+                        states.append(t)
                         depth_of.append(depth)
                         nxt.append(tid)
                     row.append(tid)
                 succ.append(tuple(row))
             frontier = nxt
-        # states first reached at full depth are never stepped from
         succ.extend(() for _ in frontier)
-        assert len(succ) == len(heaps)
+        assert len(succ) == len(states)
         self.n = n
-        self.mode = mode
         self.steps = steps
-        self.letters = letters
-        self.heaps = heaps
+        self.base = len(letters)
+        self.states = states
         self.depth_of = depth_of
         self.succ = succ
 
     def path_counts(self) -> list[list[int]]:
         """counts[t][sid] = number of length-t letter paths ending at sid."""
-        per_step = [[0] * len(self.heaps) for _ in range(self.steps + 1)]
+        per_step = [[0] * len(self.states) for _ in range(self.steps + 1)]
         per_step[0][0] = 1
         for t in range(self.steps):
             cur, nxt = per_step[t], per_step[t + 1]
@@ -250,15 +167,12 @@ class _Interned:
 
             counts[t][w] = sum over roof columns i of counts[t-1][w - top_i].
         """
-        if self.mode != SEMIGROUP:
-            raise ValueError("the roof recursion applies to semigroup paths")
-        ids = {h.columns: sid for sid, h in enumerate(self.heaps)}
-        for sid, heap in enumerate(self.heaps):
+        ids = {cols: sid for sid, cols in enumerate(self.states)}
+        for sid, cols in enumerate(self.states):
             if sid == 0:
                 continue
             preds = []
-            for i in roof_columns(heap):
-                cols = heap.columns
+            for i in core.roof_of(core.ColoredHeap(self.n, SEMIGROUP, cols)).columns():
                 shrunk = cols[: i - 1] + (cols[i - 1][:-1],) + cols[i:]
                 preds.append(ids[shrunk])
             for t in range(1, self.steps + 1):
@@ -269,11 +183,36 @@ class _Interned:
                     )
 
 
-def roof_columns(heap: core.ColoredHeap) -> tuple[int, ...]:
-    return core.roof_of(heap).columns()
+def enumerate_ball(
+    n: int,
+    radius: int,
+    variant: str,
+    r: int | None = None,
+    max_states: int = BALL_STATE_BUDGET,
+) -> BallCensus:
+    """
+    Breadth-first enumeration of all elements of reduced length up to
+    `radius`, counted by exact length (= BFS depth, since every push
+    changes the minimal spelling by at most one letter).
+    """
+    _check_variant(variant, r)
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    table = _Interned(n, radius, variant, r, max_states)
+    return BallCensus(
+        n, variant, r, radius,
+        dict(Counter(table.depth_of)),
+        dict(zip(table.states, table.depth_of)),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Exact walk distributions
 
 
 def _interned(n: int, steps: int, mode: str, max_states: int | None) -> _Interned:
+    if steps < 1:
+        raise ValueError("N must be >= 1")
     if mode not in (GROUP, SEMIGROUP):
         raise ValueError("mode must be group or semigroup")
     n_cap, steps_cap = DEFAULT_DISTRIBUTION_LIMITS[mode]
@@ -282,7 +221,7 @@ def _interned(n: int, steps: int, mode: str, max_states: int | None) -> _Interne
             f"exact {mode} distribution capped at n <= {n_cap}, N <= {steps_cap} "
             "by default; pass max_states to raise the budget"
         )
-    return _Interned(n, steps, mode, max_states or BALL_STATE_BUDGET)
+    return _Interned(n, steps, mode, max_states=max_states)
 
 
 def exact_distribution(
@@ -291,21 +230,19 @@ def exact_distribution(
     """
     The exact distribution after N uniform letter pushes: path counts
     over (2n)^N equally likely letter sequences (n^N in semigroup mode),
-    as Fractions keyed by canonical heap. In semigroup mode the path
-    counts are additionally checked against the roof recursion on every
-    state before probabilities are formed.
+    as Fractions keyed by the state's columns tuple (the columns of
+    core.heap_from_word). In semigroup mode the path counts are
+    additionally checked against the roof recursion on every state
+    before probabilities are formed.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
     table = _interned(n, N, mode, max_states)
     per_step = table.path_counts()
     if mode == SEMIGROUP:
         table.check_roof_recursion(per_step)
-    denom = len(table.letters) ** N
-    final = per_step[N]
+    denom = table.base**N
     probs = {
-        core.canonical_key(table.heaps[sid]): Fraction(c, denom)
-        for sid, c in enumerate(final)
+        table.states[sid]: Fraction(c, denom)
+        for sid, c in enumerate(per_step[N])
         if c
     }
     assert sum(probs.values()) == 1
@@ -324,16 +261,12 @@ def exact_drift_series(
     [E[K(w_1)]/1, ..., E[K(w_N)]/N] from a single dynamic program; the
     group sequence starts at 1 and decreases toward the limit drift.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
     table = _interned(n, N, mode, max_states)
     per_step = table.path_counts()
-    lengths = [h.length for h in table.heaps]
-    base = len(table.letters)
     out = []
     for t in range(1, N + 1):
-        weighted = sum(c * k for c, k in zip(per_step[t], lengths))
-        out.append(Fraction(weighted, base**t * t))
+        weighted = sum(c * k for c, k in zip(per_step[t], table.depth_of))
+        out.append(Fraction(weighted, table.base**t * t))
     return out
 
 
@@ -347,7 +280,7 @@ def exact_entropy(n: int, N: int, mode: str = GROUP, max_states: int | None = No
     """
     table = _interned(n, N, mode, max_states)
     final = table.path_counts()[N]
-    denom = len(table.letters) ** N
+    denom = table.base**N
     acc = 0.0
     for c in final:
         if c > 1:

@@ -142,11 +142,14 @@ def letter_stream(params: WalkParams, trial_index: int) -> np.ndarray:
     the group (column = code // 2 + 1, sign = + for even codes), in
     [0, n) for the semigroup (column = code + 1).
     """
-    bitgen = np.random.Philox(key=[params.seed, trial_index])
-    raw = np.random.Generator(bitgen).integers(
-        0, 2**64, size=params.steps, dtype=np.uint64
-    )
-    base = 2 * params.n if params.mode == GROUP else params.n
+    return _letter_codes(params.seed, trial_index, params.steps, params.n, params.mode)
+
+
+def _letter_codes(seed: int, stream: int, steps: int, n: int, mode: str) -> np.ndarray:
+    """Philox stream (seed, stream) reduced to `steps` letter codes of the mode."""
+    bitgen = np.random.Philox(key=[seed, stream])
+    raw = np.random.Generator(bitgen).integers(0, 2**64, size=steps, dtype=np.uint64)
+    base = 2 * n if mode == GROUP else n
     return (raw % base).astype(np.int64)
 
 
@@ -519,10 +522,7 @@ def roof_chain_run(
         burn_in = min(10 * n, steps - 1)
     if not 0 <= burn_in < steps:
         raise ValueError("need 0 <= burn_in < steps")
-    bitgen = np.random.Philox(key=[seed, 0])
-    raw = np.random.Generator(bitgen).integers(0, 2**64, size=steps, dtype=np.uint64)
-    base = 2 * n if mode == GROUP else n
-    codes = (raw % base).astype(np.int64)
+    codes = _letter_codes(seed, 0, steps, n, mode)
 
     eps = [0] * n
     ones = 0

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from locfree import cli, counting
+from locfree import cli, counting, walk
 from locfree.cli import run_command
 
 REPORT_KEYS = [
@@ -167,20 +167,32 @@ def test_walk_out_reruns_byte_identical(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_walk_csv_needs_snapshot_every(capsys):
-    code, _, err = run(
+def _forbid(monkeypatch, name):
+    # flag combinations are rejected before any walk work starts
+    def boom(*args, **kwargs):
+        raise AssertionError(f"walk.{name} ran")
+
+    monkeypatch.setattr(walk, name, boom)
+
+
+def test_walk_csv_needs_snapshot_every(capsys, monkeypatch):
+    _forbid(monkeypatch, "run_walk")
+    code, out, err = run(
         capsys, "walk", "--mode", "semigroup", "--n", "1", "--steps", "100",
     )
     assert code == 2
+    assert out == ""
     assert "snapshot-every" in err
 
 
-def test_walk_json_snapshots_need_out(capsys):
-    code, _, err = run(
+def test_walk_json_snapshots_need_out(capsys, monkeypatch):
+    _forbid(monkeypatch, "run_walk")
+    code, out, err = run(
         capsys, "walk", "--format", "json", "--mode", "semigroup",
         "--n", "1", "--steps", "100", "--snapshot-every", "50",
     )
     assert code == 2
+    assert out == ""
     assert "--out" in err
 
 
@@ -234,9 +246,11 @@ def test_roof_chain_json(capsys):
     assert 0 <= obj["final_ones"] <= 5
 
 
-def test_roof_chain_csv_needs_snapshot_every(capsys):
-    code, _, err = run(capsys, "roof-chain", "--n", "5", "--steps", "100")
+def test_roof_chain_csv_needs_snapshot_every(capsys, monkeypatch):
+    _forbid(monkeypatch, "roof_chain_run")
+    code, out, err = run(capsys, "roof-chain", "--n", "5", "--steps", "100")
     assert code == 2
+    assert out == ""
     assert "snapshot-every" in err
 
 

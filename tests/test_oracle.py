@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -59,6 +60,16 @@ def test_ball_restricted_large_order():
     assert counts == counting.count_words_range(2, 3, counting.RESTRICTED, 300)
 
 
+@pytest.mark.parametrize("n,mode,signs", [(2, GROUP, (1, -1)), (3, SEMIGROUP, (1,))])
+def test_ball_states_are_heap_columns(n, mode, signs):
+    letters = [(i, s) for i in range(1, n + 1) for s in signs]
+    words = itertools.chain.from_iterable(
+        itertools.product(letters, repeat=k) for k in range(4)
+    )
+    heaps = {core.heap_from_word(w, n, mode).columns for w in words}
+    assert set(oracle.enumerate_ball(n, 3, mode).elements) == heaps
+
+
 def test_ball_budget():
     with pytest.raises(oracle.BudgetExceeded):
         oracle.enumerate_ball(3, 3, GROUP, max_states=10)
@@ -66,8 +77,8 @@ def test_ball_budget():
 
 def test_distribution_two_steps():
     dist = oracle.exact_distribution(2, 2, GROUP)
-    key_id = core.canonical_key(core.empty_heap(2))
-    key_f1f2 = core.canonical_key(core.heap_from_word([(1, 1), (2, 1)], 2))
+    key_id = core.empty_heap(2).columns
+    key_f1f2 = core.heap_from_word([(1, 1), (2, 1)], 2).columns
     assert dist.probabilities[key_id] == Fraction(1, 4)
     assert dist.probabilities[key_f1f2] == Fraction(1, 16)
     assert sum(dist.probabilities.values()) == 1
@@ -93,6 +104,9 @@ def test_distribution_budget_gate():
         oracle.exact_distribution(2, 9, GROUP)
     dist = oracle.exact_distribution(2, 9, GROUP, max_states=200_000)
     assert sum(dist.probabilities.values()) == 1
+    # an explicit budget is honoured, even 0
+    with pytest.raises(oracle.BudgetExceeded):
+        oracle.exact_distribution(2, 3, GROUP, max_states=0)
 
 
 def test_drift_semigroup_is_one():
@@ -139,6 +153,10 @@ def test_entropy_single_step():
     assert oracle.exact_entropy(2, 1, GROUP) == pytest.approx(math.log(4), abs=1e-12)
     assert oracle.exact_entropy(3, 1, GROUP) == pytest.approx(math.log(6), abs=1e-12)
     assert oracle.exact_entropy(3, 1, SEMIGROUP) == pytest.approx(math.log(3), abs=1e-12)
+    for dp in (oracle.exact_distribution, oracle.exact_drift_series, oracle.exact_entropy):
+        for steps in (0, -1):
+            with pytest.raises(ValueError, match="N must be >= 1"):
+                dp(2, steps, GROUP)
 
 
 def test_entropy_free_group_value():
