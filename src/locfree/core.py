@@ -242,28 +242,25 @@ def heap_from_word(letters, n: int, mode: str = GROUP) -> ColoredHeap:
     return heap
 
 
+def _roof_marks(columns: Columns) -> tuple[int, ...]:
+    """
+    Roof marks of raw columns: a nonempty column whose top level is >=
+    its neighbours' is marked with its top cell's label, any other 0.
+    """
+    tops = [col[-1][0] if col else 0 for col in columns]
+    edged = [0, *tops, 0]
+    return tuple(
+        columns[i][-1][1] if t and t >= edged[i] and t >= edged[i + 2] else 0
+        for i, t in enumerate(tops)
+    )
+
+
 def roof_of(heap: ColoredHeap) -> "RoofSet":
     """
-    Columns whose top cell is removable in one step.
-
-    Column i is marked iff it is nonempty and its top level is >= the
-    top levels of columns i-1 and i+1; the mark carries the top cell's
-    color, which is the sign whose inverse letter performs the removal.
+    Columns whose top cell is removable in one step; each mark is the
+    top cell's color, the sign whose inverse letter performs the removal.
     """
-    n = heap.n
-    cols = heap.columns
-    tops = [col[-1][0] if col else 0 for col in cols]
-    marks = []
-    for i in range(n):
-        t = tops[i]
-        if t == 0:
-            marks.append(0)
-            continue
-        if (i == 0 or t >= tops[i - 1]) and (i == n - 1 or t >= tops[i + 1]):
-            marks.append(cols[i][-1][1])
-        else:
-            marks.append(0)
-    return RoofSet(n, tuple(marks))
+    return RoofSet(heap.n, _roof_marks(heap.columns))
 
 
 @dataclass(frozen=True)

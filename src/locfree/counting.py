@@ -38,9 +38,11 @@ substitutes into Chebyshev polynomials of the second kind; its roots are
 x = 4 cos^2(pi k / (n+2)) - 1 for k = 1..floor((n+1)/2) plus -1 with
 multiplicity n - floor((n+1)/2). The high multiplicity of -1 makes
 generic dense eigensolvers useless here (they scatter that cluster by
-roughly eps^(1/multiplicity), around 1e-1 for n = 30), so the spectrum
-is computed exactly: integer characteristic polynomial, exact division
-by (x+1)^m, then the remaining simple roots to high precision.
+roughly eps^(1/multiplicity), around 1e-1 for n = 30), so each simple
+root is found by bisection on an exact Sturm-type sign count of the
+recursion, run in scaled big integers at the double being tested, and
+comes out as the correctly rounded double. The top eigenvalue alone
+costs one such bisection.
 """
 
 from __future__ import annotations
@@ -48,9 +50,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-
-import mpmath
 
 from locfree.core import GROUP, SEMIGROUP
 
@@ -176,107 +175,99 @@ def count_words_range(n: int, k_max: int, variant: str, r: int | None = None) ->
 
 
 # ---------------------------------------------------------------------------
-# Characteristic polynomial and spectrum
+# Spectrum
+
+# Largest n admitted by spectrum_numeric and lambda_max, checked before
+# any work. The spectrum costs ~n^3 and lambda_max ~n^2: 6.6 s at n = 400
+# and 4.8 s at n = 6000 on a 2-vCPU VM with Python 3.11.
+SPECTRUM_MAX_N = 400
+LAMBDA_MAX_N = 6000
 
 
-def charpoly_coefficients(n: int) -> list[int]:
+def _admit(n: int, bound: int, what: str) -> None:
+    """The degree budget, then the self-check that no root is >= 3."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > bound:
+        raise ValueError(f"{what} is budgeted for n <= {bound}, got n = {n}")
+    if _sign_count(n, 3.0)[0]:
+        raise ArithmeticError(f"a_{n} has a root at or above 3")
+
+
+def _sign_count(n: int, x) -> tuple[int, bool]:
     """
-    Integer coefficients of a_n(x) = det(T_n - xI), highest degree
-    first, from the two-term recursion with exact polynomial arithmetic.
+    (number of roots of a_n other than -1 at or above x, whether x is a
+    root) for a double or Fraction x = p/q > -1, exactly: b_k = q^k a_k(x)
+    obeys b_0 = 1, b_1 = -p, b_k = -(p+q)(b_{k-1} + q b_{k-2}), and the
+    count is n minus the sign changes of b_0..b_n, zeros skipped.
+
+    Why: s = sqrt(x+1) and a_k = (-s)^k u_k give u_k = s u_{k-1} - u_{k-2},
+    u_0 = 1, u_1 = s - 1/s, the leading minors det(s I - J_k(s)) of the
+    Jacobi matrix J(s) with diagonal (1/s, 0, ..., 0) and unit
+    off-diagonal. By Sturm, the sign changes of u count the eigenvalues
+    of J_n(s) above s, and they are the sign agreements of a. Each
+    eigenvalue of J(s) is nonincreasing in s, so it lies above s exactly
+    for s below the one point where it crosses s; the crossings are the
+    roots of a_n above -1. A zero b_k, k < n, gives b_{k+1} the sign
+    opposite to b_{k-1}, one change in a and in u alike; a zero b_n makes
+    x a root, and by strict interlacing J_{n-1}(s) has as many
+    eigenvalues above s as J_n(s), so skipping it counts x itself.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    prev = [1]  # a_0
-    if n == 0:
-        return prev
-    cur = [-1, 0]  # a_1 = -x
-    for _ in range(n - 1):
-        s = [0] * len(cur)
-        for i, c in enumerate(prev):
-            s[i + len(cur) - len(prev)] += c
-        for i, c in enumerate(cur):
-            s[i] += c
-        # multiply by -(x + 1)
-        nxt = [0] * (len(cur) + 1)
-        for i, c in enumerate(s):
-            nxt[i] -= c
-            nxt[i + 1] -= c
-        prev, cur = cur, nxt
-    return cur
+    p, q = x.as_integer_ratio()
+    c = -(p + q)
+    prev, cur = 1, -p
+    positive = True  # sign of the last nonzero term; b_0 = 1
+    changes = 0
+    for k in range(n):
+        if k:
+            prev, cur = cur, c * (cur + q * prev)
+        if cur and (cur > 0) != positive:
+            positive = not positive
+            changes += 1
+    return n - changes, cur == 0
 
 
-def charpoly_eval(n: int, lam):
+def _eigenvalue(n: int, k: int) -> float:
     """
-    a_n(lam) via the scalar recursion a_k = -(lam+1)(a_{k-1} + a_{k-2}).
+    The k-th largest root of a_n other than -1, correctly rounded.
 
-    Works over any ring Python arithmetic supports (float, Fraction,
-    mpmath); exact for exact inputs.
+    Bisects over doubles in (-1, 3), keeping at least k roots at or
+    above lo and fewer than k at or above hi, until the two ends are
+    adjacent doubles; the sign count at their exact midpoint then picks
+    the nearer one. A midpoint that is itself the k-th root is returned
+    as is (the roots 0, 1 and 2, for 3, 4 or 6 dividing n+2); every
+    other root is irrational, so the exact midpoint is never a tie.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return 1 + 0 * lam
-    a_prev, a = 1, -lam
-    for _ in range(n - 1):
-        a_prev, a = a, -(lam + 1) * (a + a_prev)
-    return a
-
-
-def _deflate_minus_one(coeffs: list[int]) -> tuple[list[int], int]:
-    """Divide out every exact factor of (x + 1); returns (quotient, multiplicity)."""
-    mult = 0
-    cur = coeffs
-    while len(cur) > 1:
-        # synthetic division by (x - (-1))
-        quot = [cur[0]]
-        for c in cur[1:]:
-            quot.append(c - quot[-1])
-        if quot.pop() != 0:
-            break
-        cur = quot
-        mult += 1
-    return cur, mult
-
-
-@lru_cache(maxsize=None)
-def _spectrum(n: int) -> tuple[float, ...]:
-    coeffs = charpoly_coefficients(n)
-    reduced, mult = _deflate_minus_one(coeffs)
-    simple: list[float] = []
-    if len(reduced) > 1:
-        # Durand-Kerner stalls on this family above degree ~12 at working
-        # precision; extra internal precision proportional to the degree
-        # restores convergence (verified up to n = 100).
-        deg = len(reduced) - 1
-        with mpmath.workdps(60):
-            roots = mpmath.polyroots(
-                [mpmath.mpf(c) for c in reduced],
-                maxsteps=100 + 20 * deg,
-                extraprec=10 * deg,
-            )
-        for z in roots:
-            if abs(mpmath.im(z)) > 1e-30:
-                raise ArithmeticError(f"unexpected complex root of a_{n}: {z}")
-            simple.append(float(mpmath.re(z)))
-    eigs = sorted(simple + [-1.0] * mult, reverse=True)
-    if len(eigs) != n:
-        raise ArithmeticError("eigenvalue count mismatch")
-    return tuple(eigs)
+    lo, hi = -1.0, 3.0
+    while lo < (mid := (lo + hi) / 2) < hi:
+        count, is_root = _sign_count(n, mid)
+        if count < k:
+            hi = mid
+        elif is_root and count == k:
+            return mid
+        else:
+            lo = mid
+    return hi if _sign_count(n, (Fraction(lo) + Fraction(hi)) / 2)[0] >= k else lo
 
 
 def spectrum_numeric(n: int) -> list[float]:
     """
-    All n eigenvalues of T_n, descending, accurate to well below 1e-9.
+    All n eigenvalues of T_n, descending, each correctly rounded.
 
-    Exact integer characteristic polynomial, exact deflation of the
-    (x+1)^m factor, then the remaining simple roots by high-precision
-    polynomial root finding. The closed-form candidate positions
-    4 cos^2(pi k/(n+2)) - 1 are deliberately not used here, so the
-    cosine formula can be tested against this output.
+    The roots of a_n other than -1, as many as the sign count just
+    above -1, come one by one from an exact sign-count bisection on the
+    recursion, and -1 fills the rest. Checked: no root lies at or above
+    3, and the eigenvalues sum to trace(T_n) = 0 within 1e-9 n. The
+    closed form 4 cos^2(pi k/(n+2)) - 1 is deliberately not used here,
+    so the cosine formula can be tested against this output.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return list(_spectrum(n))
+    _admit(n, SPECTRUM_MAX_N, "the full spectrum")
+    simple = _sign_count(n, math.nextafter(-1.0, 0.0))[0]
+    eigs = [_eigenvalue(n, k) for k in range(1, simple + 1)]
+    eigs += [-1.0] * (n - simple)
+    if abs(math.fsum(eigs)) > 1e-9 * n:
+        raise ArithmeticError(f"eigenvalues of T_{n} do not sum to its trace 0")
+    return eigs
 
 
 def cosine_formula_spectrum(n: int, offset: int = 2) -> list[float]:
@@ -299,8 +290,9 @@ def cosine_formula_spectrum(n: int, offset: int = 2) -> list[float]:
 
 
 def lambda_max(n: int) -> float:
-    """Top eigenvalue of T_n; increases to 3 as n grows."""
-    return spectrum_numeric(n)[0]
+    """Top eigenvalue of T_n, alone; increases to 3 as n grows."""
+    _admit(n, LAMBDA_MAX_N, "the top eigenvalue")
+    return _eigenvalue(n, 1)
 
 
 def _restricted_growth(lam: float, r: int) -> float:
@@ -385,6 +377,8 @@ class VolumeReport:
 def volume_report(n: int, k_max: int, variant: str, r: int | None = None) -> VolumeReport:
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
+    # first, so that an n over the eigenvalue budget fails before counting
+    finite_n_limit = limit_log_volume(variant, r, n)
     counts = count_words_range(n, k_max, variant, r)
     ratios = [
         float(Fraction(counts[k], counts[k - 1])) for k in range(1, k_max)
@@ -403,6 +397,6 @@ def volume_report(n: int, k_max: int, variant: str, r: int | None = None) -> Vol
         log_ratios=tuple(math.log(x) for x in ratios),
         ratio_last=ratios[-1],
         ratio_accelerated=accel,
-        finite_n_limit=limit_log_volume(variant, r, n),
+        finite_n_limit=finite_n_limit,
         asymptotic_limit=limit_log_volume(variant, r),
     )

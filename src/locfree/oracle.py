@@ -15,9 +15,9 @@ way the state is the normal form, so the tuple itself is the key and
 key equality is element equality.
 
 One breadth-first explorer interns every state within a number of
-pushes together with its transition row. Cayley-ball censuses count its
-states by depth; exact walk distributions come from dynamic programming
-over the same table with integer path counts. Agreement between these
+pushes. Cayley-ball censuses count its states by depth; exact walk
+distributions come from dynamic programming with integer path counts
+over the same table, with transition rows kept. Agreement between these
 enumerations and the transfer-matrix counts is the central correctness
 gate of the package.
 
@@ -30,6 +30,7 @@ never a silent truncation.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,13 +99,14 @@ class _Interned:
     states[sid] is the columns tuple, depth_of[sid] the push count that
     first reached it, which is its reduced length: every push changes
     the length by at most one. succ[sid] lists the successor ids in
-    letter order; states first reached at full depth are not stepped
-    from. max_states=None means BALL_STATE_BUDGET.
+    letter order (states first reached at full depth are not stepped
+    from); rows=False keeps none and leaves succ None, for callers that
+    read only the depths. max_states=None means BALL_STATE_BUDGET.
     """
 
     def __init__(
         self, n: int, steps: int, variant: str, r: int | None = None,
-        max_states: int | None = None,
+        max_states: int | None = None, rows: bool = True,
     ):
         if n < 1:
             raise ValueError("n must be >= 1")
@@ -136,16 +138,17 @@ class _Interned:
                         depth_of.append(depth)
                         nxt.append(tid)
                     row.append(tid)
-                succ.append(tuple(row))
+                if rows:
+                    succ.append(tuple(row))
             frontier = nxt
-        succ.extend(() for _ in frontier)
-        assert len(succ) == len(states)
-        self.n = n
+        if rows:
+            succ.extend(() for _ in frontier)
+            assert len(succ) == len(states)
         self.steps = steps
         self.base = len(letters)
         self.states = states
         self.depth_of = depth_of
-        self.succ = succ
+        self.succ = succ if rows else None
 
     def path_counts(self) -> list[list[int]]:
         """counts[t][sid] = number of length-t letter paths ending at sid."""
@@ -166,21 +169,24 @@ class _Interned:
         the top cell of some roof column, so the path counts must obey
 
             counts[t][w] = sum over roof columns i of counts[t-1][w - top_i].
+
+        Each push adds a cell, so counts[t][w] must be 0 unless t is w's
+        depth, where the recursion is checked; as every w - top_i is one
+        shallower than w, the two checks imply the recursion at every t.
         """
+        depth_of = self.depth_of  # nondecreasing: ids follow BFS order
+        for t, row in enumerate(per_step):
+            if any(row[: bisect_left(depth_of, t)]) or any(row[bisect_right(depth_of, t):]):
+                raise AssertionError(f"path counts at step {t} off states of length {t}")
         ids = {cols: sid for sid, cols in enumerate(self.states)}
-        for sid, cols in enumerate(self.states):
-            if sid == 0:
-                continue
-            preds = []
-            for i in core.roof_of(core.ColoredHeap(self.n, SEMIGROUP, cols)).columns():
-                shrunk = cols[: i - 1] + (cols[i - 1][:-1],) + cols[i:]
-                preds.append(ids[shrunk])
-            for t in range(1, self.steps + 1):
-                expected = sum(per_step[t - 1][p] for p in preds)
-                if per_step[t][sid] != expected:
-                    raise AssertionError(
-                        f"roof recursion fails at state {sid}, step {t}"
-                    )
+        for sid, cols in enumerate(self.states[1:], 1):
+            t = depth_of[sid]
+            expected = sum(
+                per_step[t - 1][ids[cols[:i] + (cols[i][:-1],) + cols[i + 1:]]]
+                for i, mark in enumerate(core._roof_marks(cols)) if mark
+            )
+            if per_step[t][sid] != expected:
+                raise AssertionError(f"roof recursion fails at state {sid}, step {t}")
 
 
 def enumerate_ball(
@@ -198,7 +204,7 @@ def enumerate_ball(
     _check_variant(variant, r)
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    table = _Interned(n, radius, variant, r, max_states)
+    table = _Interned(n, radius, variant, r, max_states, rows=False)
     return BallCensus(
         n, variant, r, radius,
         dict(Counter(table.depth_of)),

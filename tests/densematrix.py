@@ -13,7 +13,10 @@ matrix power per length K, by repeated squaring:
 with v = (1, ..., 1). N_r(K, s) is counted directly from the geodesic
 length min(c, r - c) of each nonzero class c mod r. The characteristic
 polynomial det(T_n - xI) comes from sympy's fraction-free Berkowitz
-algorithm, independent of the two-term recursion.
+algorithm, independent of the two-term recursion
+a_k = -(x+1)(a_{k-1} + a_{k-2}), a_0 = 1, a_1 = -x, whose coefficient
+expansion and scalar evaluation are also kept here as references for
+the package's sign-count eigenvalue routine.
 Deliberately shares no code with the package under test.
 """
 
@@ -101,3 +104,46 @@ def charpoly_from_matrix(n: int) -> list[int]:
     coeffs = [int(c) for c in sympy.Matrix(transfer_matrix(n)).charpoly(x).all_coeffs()]
     # sympy returns the monic det(xI - T); det(T - xI) differs by (-1)^n
     return [-c for c in coeffs] if n % 2 else coeffs
+
+
+def charpoly_coefficients(n: int) -> list[int]:
+    """
+    Integer coefficients of a_n(x) = det(T_n - xI), highest degree
+    first, from the two-term recursion with exact polynomial arithmetic.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    prev = [1]  # a_0
+    if n == 0:
+        return prev
+    cur = [-1, 0]  # a_1 = -x
+    for _ in range(n - 1):
+        s = [0] * len(cur)
+        for i, c in enumerate(prev):
+            s[i + len(cur) - len(prev)] += c
+        for i, c in enumerate(cur):
+            s[i] += c
+        # multiply by -(x + 1)
+        nxt = [0] * (len(cur) + 1)
+        for i, c in enumerate(s):
+            nxt[i] -= c
+            nxt[i + 1] -= c
+        prev, cur = cur, nxt
+    return cur
+
+
+def charpoly_eval(n: int, lam):
+    """
+    a_n(lam) via the scalar recursion a_k = -(lam+1)(a_{k-1} + a_{k-2}).
+
+    Works over any ring Python arithmetic supports (int, float,
+    Fraction); exact for exact inputs.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        return 1 + 0 * lam
+    a_prev, a = 1, -lam
+    for _ in range(n - 1):
+        a_prev, a = a, -(lam + 1) * (a + a_prev)
+    return a

@@ -343,11 +343,31 @@ def test_inequality_partial_triple_rejected(capsys):
 # --- exit codes -----------------------------------------------------------------
 
 
-def test_cli_import_leaves_sympy_out():
-    # sympy is a test dependency only; the command line must not load it
+@pytest.mark.parametrize("module", ["sympy", "mpmath"])
+def test_cli_import_leaves_out(module):
+    # neither is a runtime dependency; the command line must not load them
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    probe = f"import sys; sys.path.insert(0, {src!r}); import locfree.cli; sys.exit('sympy' in sys.modules)"
+    probe = f"import sys; sys.path.insert(0, {src!r}); import locfree.cli; sys.exit({module!r} in sys.modules)"
     assert subprocess.run([sys.executable, "-c", probe], timeout=120).returncode == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--n", str(counting.SPECTRUM_MAX_N + 1)],
+        ["spectrum", "--n", str(2**32 - 1)],
+        ["volume", "--variant", "group", "--n", str(counting.LAMBDA_MAX_N + 1), "--k-max", "2"],
+        ["volume", "--variant", "group", "--n", str(2**32 - 1), "--k-max", "2"],
+        ["braid-bounds", "--n", str(counting.LAMBDA_MAX_N + 1)],
+        ["braid-bounds", "--n", str(2**32 - 1)],
+    ],
+)
+def test_spectrum_degree_budget_exits_two(capsys, argv):
+    # every n here is over budget and is rejected before any work
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "budgeted for n <=" in err
 
 
 def test_help_exits_zero(capsys):

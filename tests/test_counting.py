@@ -176,29 +176,113 @@ def test_lambda_max_monotone_to_three():
     assert 3.0 - lams[-1] < 4 * math.pi**2 / 102**2 + 1e-6
 
 
+def _sympy_real_roots(n):
+    import sympy
+
+    return sympy.Poly(densematrix.charpoly_from_matrix(n), sympy.Symbol("x")).real_roots()
+
+
+def test_spectrum_correctly_rounded_against_sympy():
+    # each root to 60 digits, taken as an exact rational and rounded
+    # once by float(Fraction): the spectrum must equal it bit for bit
+    import sympy
+
+    for n in range(1, 25):
+        want = []
+        for root in _sympy_real_roots(n):
+            q = sympy.Rational(root.evalf(60))
+            want.append(float(Fraction(int(q.p), int(q.q))))
+        assert counting.spectrum_numeric(n) == sorted(want, reverse=True)
+
+
+@pytest.mark.parametrize("n", [4, 10, 22, 100])
+def test_spectrum_exact_rational_roots(n):
+    eigs = counting.spectrum_numeric(n)
+    expected = [v for v, d in ((0.0, 3), (1.0, 4), (2.0, 6)) if (n + 2) % d == 0]
+    assert expected
+    for v in expected:
+        assert eigs.count(v) == 1
+    assert all(math.copysign(1.0, e) == 1.0 for e in eigs if e == 0.0)
+
+
+def test_lambda_max_is_top_of_spectrum():
+    for n in range(1, 61):
+        assert counting.lambda_max(n).hex() == counting.spectrum_numeric(n)[0].hex()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_sign_count_matches_sympy_and_recursion(n):
+    import sympy
+
+    roots = _sympy_real_roots(n)
+    for x in (-0.875, -0.5, Fraction(-1, 3), 0.0, 0.25, 1.0, 1.5, 2.0, 2.9375):
+        exact = sympy.Rational(*x.as_integer_ratio())
+        count, is_root = counting._sign_count(n, x)
+        assert count == sum(1 for r in roots if r != -1 and r >= exact)
+        assert is_root == any(r == exact for r in roots)
+        # the sign sequence of b_0..b_n, rebuilt from the prefix counts
+        signs, last, changes = [1], 1, 0
+        for k in range(1, n + 1):
+            count_k, zero = counting._sign_count(k, x)
+            if zero:
+                signs.append(0)
+                continue
+            if k - count_k != changes:
+                last, changes = -last, k - count_k
+            signs.append(last)
+        ref = [densematrix.charpoly_eval(k, Fraction(x)) for k in range(n + 1)]
+        assert signs == [(v > 0) - (v < 0) for v in ref]
+
+
+def test_spectrum_self_checks_fire(monkeypatch):
+    eigenvalue, sign_count = counting._eigenvalue, counting._sign_count
+    monkeypatch.setattr(counting, "_eigenvalue", lambda n, k: eigenvalue(n, k) + 1e-6)
+    with pytest.raises(ArithmeticError):
+        counting.spectrum_numeric(30)
+    monkeypatch.setattr(counting, "_eigenvalue", eigenvalue)
+    monkeypatch.setattr(
+        counting, "_sign_count", lambda n, x: (1, False) if x == 3.0 else sign_count(n, x)
+    )
+    with pytest.raises(ArithmeticError):
+        counting.lambda_max(30)
+    with pytest.raises(ArithmeticError):
+        counting.spectrum_numeric(30)
+
+
+def test_spectrum_degree_budget():
+    with pytest.raises(ValueError, match="budgeted"):
+        counting.spectrum_numeric(counting.SPECTRUM_MAX_N + 1)
+    with pytest.raises(ValueError, match="budgeted"):
+        counting.lambda_max(counting.LAMBDA_MAX_N + 1)
+    with pytest.raises(ValueError, match="budgeted"):
+        counting.volume_report(counting.LAMBDA_MAX_N + 1, 2, GROUP)
+    with pytest.raises(ValueError):
+        counting.lambda_max(0)
+
+
 # --- characteristic polynomial ---------------------------------------------
 
 
 def test_charpoly_eval_examples():
-    assert counting.charpoly_eval(1, 7) == -7
-    assert counting.charpoly_eval(2, 2) == 3  # a_2 = x^2 - 1
-    assert counting.charpoly_eval(3, -1) == 0
-    assert counting.charpoly_eval(3, Fraction(1, 2)) == Fraction(15, 8)
+    assert densematrix.charpoly_eval(1, 7) == -7
+    assert densematrix.charpoly_eval(2, 2) == 3  # a_2 = x^2 - 1
+    assert densematrix.charpoly_eval(3, -1) == 0
+    assert densematrix.charpoly_eval(3, Fraction(1, 2)) == Fraction(15, 8)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 13, 21, 30])
 def test_charpoly_recursion_certified_by_matrix(n):
-    assert counting.charpoly_coefficients(n) == densematrix.charpoly_from_matrix(n)
+    assert densematrix.charpoly_coefficients(n) == densematrix.charpoly_from_matrix(n)
 
 
 def test_charpoly_eval_matches_coefficients():
     for n in (4, 9):
-        coeffs = counting.charpoly_coefficients(n)
+        coeffs = densematrix.charpoly_coefficients(n)
         for lam in (Fraction(-3), Fraction(1, 3), Fraction(2), Fraction(7, 2)):
             horner = Fraction(0)
             for c in coeffs:
                 horner = horner * lam + c
-            assert counting.charpoly_eval(n, lam) == horner
+            assert densematrix.charpoly_eval(n, lam) == horner
 
 
 def charpoly_closed_form(n: int, lam: float) -> float:
@@ -222,7 +306,7 @@ def charpoly_closed_form(n: int, lam: float) -> float:
 def test_charpoly_closed_form_agrees():
     for n in (2, 5, 11, 24):
         for lam in (-0.75, -0.2, 0.5, 1.3, 2.4, 2.9):
-            rec = counting.charpoly_eval(n, lam)
+            rec = densematrix.charpoly_eval(n, lam)
             closed = charpoly_closed_form(n, lam)
             assert closed == pytest.approx(rec, rel=1e-9, abs=1e-9)
 
@@ -231,12 +315,12 @@ def test_eigenvalues_are_charpoly_roots():
     # normalized backward error: raw a_n values are astronomically
     # scaled, so divide by the Horner magnitude of the evaluation
     for n in (6, 14, 30):
-        coeffs = counting.charpoly_coefficients(n)
+        coeffs = densematrix.charpoly_coefficients(n)
         for lam in counting.spectrum_numeric(n):
             mag = 0.0
             for c in coeffs:
                 mag = mag * abs(lam) + abs(c)
-            assert abs(counting.charpoly_eval(n, lam)) <= 1e-9 * mag
+            assert abs(densematrix.charpoly_eval(n, lam)) <= 1e-9 * mag
 
 
 # --- volumes ---------------------------------------------------------------

@@ -91,6 +91,25 @@ def test_distribution_path_counts_semigroup():
     assert sum(paths) == 27
 
 
+def test_roof_recursion_check_catches_corruption():
+    table = oracle._Interned(3, 5, SEMIGROUP)
+    good = table.path_counts()
+    table.check_roof_recursion(good)
+    depth = 2
+    sid = table.depth_of.index(depth)
+    for t in (depth, depth + 1):  # a count on its own length, and off it
+        bad = [row[:] for row in good]
+        bad[t][sid] += 1
+        with pytest.raises(AssertionError):
+            table.check_roof_recursion(bad)
+
+
+def test_ball_keeps_no_transition_rows():
+    assert oracle._Interned(3, 3, GROUP, rows=False).succ is None
+    table = oracle._Interned(3, 3, GROUP)
+    assert len(table.succ) == len(table.states)
+
+
 def test_distribution_support_within_ball():
     n, steps = 2, 5
     dist = oracle.exact_distribution(n, steps, GROUP)
