@@ -9,8 +9,9 @@ its positive semigroup, its restricted-order and projective quotients
 representation to measure drift, roof density, entropy, and heap
 geometry (walk module), verifies everything against brute-force
 enumeration at small sizes (oracle module), and turns the results into
-bilateral volume and drift bounds for the braid group B_n via the
-sigma_i^2 -> f_i embedding (braid module).
+bilateral volume and drift bounds for the braid group B_{n+1}, which
+LF_n maps onto by f_i -> sigma_i and into by the embedding
+f_i -> sigma_i^2 (braid module).
 """
 
 from locfree.core import (

@@ -1,18 +1,23 @@
 """
-Bilateral bounds for the braid group B_n from locally free statistics.
+Bilateral bounds for the braid group B_{n+1} from locally free statistics.
 
-The squares of the Artin generators sigma_i^2 generate a locally free
-subgroup of B_n, and dropping the Yang-Baxter relations altogether
-projects B_n onto LF_n. Squeezing the braid ball between these two
-yields, at every n, bilateral estimates in terms of the locally free
-logarithmic volume v_LF(n):
+Index convention: the locally free group LF_n at a given n is set
+against B_{n+1}, the braid group on n + 1 strands, whose n Artin
+generators sigma_1, ..., sigma_n match f_1, ..., f_n. The squares
+sigma_i^2 generate a locally free subgroup, so f_i -> sigma_i^2 embeds
+LF_n in B_{n+1}; and B_{n+1} is the quotient of LF_n under
+f_i -> sigma_i, which adds the braid relations
+sigma_i sigma_{i+1} sigma_i = sigma_{i+1} sigma_i sigma_{i+1}.
+Squeezing the braid ball between these two yields, at every n,
+bilateral estimates in terms of the locally free logarithmic volume
+v_LF(n):
 
-    v_LF(n) / 2  <  v(B_n)  <=  v_LF(n),
+    v_LF(n) / 2  <  v(B_{n+1})  <=  v_LF(n),
 
 with the n -> infinity edges (1/2) log 7 and log 7 (and log 2, log 4
 for the positive semigroup). The drift of the uniform walk obeys
 
-    (2 - a) / (2 (3 - a))  <  l(B_n)  <=  (2 - a) / (3 - a),
+    (2 - a) / (2 (3 - a))  <  l(B_{n+1})  <=  (2 - a) / (3 - a),
 
 where a is the roof-growth asymmetry measured by walk.alpha_estimate
 and |a| < 1/2. Volume v, drift l, and entropy h of any group walk
@@ -22,7 +27,7 @@ satisfy l v >= h; the discrepancy of the locally free triple
 
 stays strictly positive on |a| < 1/2, which is what makes the drift
 bound above nontrivial, while the free group F_2 attains equality:
-(1/2) log 3 = h = l v exactly. No entropy bounds for B_n are offered;
+(1/2) log 3 = h = l v exactly. No entropy bounds for braid groups are offered;
 only volume and drift transfer through the embedding.
 """
 
@@ -39,7 +44,7 @@ LOG7 = math.log(7.0)
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Numeric bounds for B_n derived from the locally free group at the same n."""
+    """Numeric bounds for B_{n+1} derived from the locally free group LF_n."""
 
     n: int
     v_lf: float  # exact finite-n locally free volume
@@ -53,10 +58,11 @@ class BoundsReport:
 
 def volume_bounds(n: int, variant: str = GROUP) -> tuple[float, float]:
     """
-    (v_LF(n)/2, v_LF(n)) squeezing v(B_n), group or positive semigroup.
+    (v_LF(n)/2, v_LF(n)) squeezing v(B_{n+1}), group or positive semigroup.
 
-    Uses the exact finite-n volume from the spectrum: the squared-
-    generator embedding works at every fixed n, not just in the limit.
+    Uses the exact finite-n volume from the spectrum: the embedding
+    f_i -> sigma_i^2 and the quotient map f_i -> sigma_i work at every
+    fixed n, not just in the limit.
     The lower edge is an open bound; whether it can be attained at
     finite n is not settled.
     """
@@ -126,7 +132,7 @@ def inequality_report(v: float, l: float, h: float, grid_step: float = 1e-3) -> 
 
 def bounds_report(n: int, alpha: float = 0.0) -> BoundsReport:
     """
-    Full numeric report for B_n: volume bounds from the exact finite-n
+    Full numeric report for B_{n+1}: volume bounds from the exact finite-n
     locally free volume, drift bounds at the supplied alpha (measured
     by the walk when available, 0 by default), and the discrepancy of
     the triple (v_lf, drift upper bound, log(3 - alpha)).

@@ -384,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=_positive(int, "k-max", 1, 7), default=7)
     p.set_defaults(handler=_cmd_oracle_verify)
 
-    p = sub.add_parser("braid-bounds", help="volume and drift bounds for B_n")
+    p = sub.add_parser("braid-bounds", help="volume and drift bounds for B_{n+1}")
     p.add_argument("--n", type=_positive(int, "n", 2), required=True)
     p.add_argument("--alpha", type=float, default=0.0)
     add_common(p)

@@ -160,16 +160,6 @@ class ColoredHeap:
     def is_empty(self) -> bool:
         return all(not col for col in self.columns)
 
-    def top_level(self, i: int) -> int:
-        """Level of the top cell of column i (1-based); 0 if empty."""
-        col = self.columns[i - 1]
-        return col[-1][0] if col else 0
-
-    def top_color(self, i: int) -> int:
-        """Color of the top cell of column i; 0 if the column is empty."""
-        col = self.columns[i - 1]
-        return col[-1][1] if col else 0
-
 
 def empty_heap(n: int, mode: str = GROUP) -> ColoredHeap:
     return ColoredHeap(n, mode)

@@ -31,17 +31,20 @@ Determinism: the letter stream of trial t is Philox counter-based
 random bits keyed by (seed, t), reduced modulo the letter count (bias
 below 2^-53 for n <= 2^10, since 2n divides into 2^64 that evenly).
 Identical (params, trial_index) give bit-identical WalkStats on every
-platform: the step kernels manipulate integers only, and every floating
+platform: the step kernel manipulates integers only, and every floating
 point statistic is derived afterwards from those integers in a fixed
-order. The same kernel source runs either compiled by numba (default)
-or as plain Python; the two paths execute the same statements and are
-cross-checked bit-for-bit in the tests.
+order. One step kernel serves both modes (a positive letter never
+cancels) and gives each push its own storage slot, so it cannot
+overflow. Its source runs compiled by numba over numpy arrays when numba
+is importable, else interpreted over Python lists and array('i')
+buffers; the tests cross-check the two bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +60,21 @@ except ImportError:  # pragma: no cover - numba is a declared dependency
 
 OPEN = "open"
 PERIODIC = "periodic"
+
+# Budgets per trial and per run, checked before any allocation. Peak RSS
+# measured with Python 3.11 on x86-64 Linux: a trial takes 30 B per step
+# at n = 100 and 62 B at n = 10^5 (letter codes above 256 are int
+# objects), and `walk --format csv` up to 118 B per stored integer: about
+# 0.6 + 1.2 GB at the bounds.
+MAX_STEPS = 10_000_000
+MAX_SLOTS = 10_000_000
+
+
+def _check_budget(steps: int, slots: int) -> None:
+    if steps > MAX_STEPS:
+        raise ValueError(f"steps is budgeted at <= {MAX_STEPS} per trial, got {steps}")
+    if slots > MAX_SLOTS:
+        raise ValueError(f"the run would store {slots} integers, budgeted at <= {MAX_SLOTS}")
 
 
 @dataclass(frozen=True)
@@ -94,6 +112,10 @@ class WalkParams:
             object.__setattr__(self, "burn_in", min(10 * self.n, self.steps - 1))
         if not 0 <= self.burn_in < self.steps:
             raise ValueError("need 0 <= burn_in < steps")
+        snaps = self.steps // self.snapshot_every if self.snapshot_every else 0
+        # each trial keeps n + 1 histogram bins, 2 n integers per snapshot
+        # and a record of about 400 B, counted as 64 integers
+        _check_budget(self.steps, self.trials * (self.n * (2 * snaps + 1) + 64))
 
 
 @dataclass(frozen=True)
@@ -154,91 +176,55 @@ def _letter_codes(seed: int, stream: int, steps: int, n: int, mode: str) -> np.n
 
 
 # ---------------------------------------------------------------------------
-# Step kernels. Plain functions over preallocated arrays, integer state
-# only; compiled verbatim by numba when available. Do not add floating
-# point here: bit-identical results across the compiled and interpreted
-# paths depend on every operation being integral.
+# The step kernel: integer state in flat buffers, only 1-D indexing and
+# len(), so numba compiles the source verbatim. Do not add floating point:
+# bit identity of the compiled and interpreted paths depends on it.
+#
+# shift = 1 reads group codes (column code >> 1, sign + for even codes),
+# shift = 0 semigroup codes (sign always +, so no cancellation). The k-th
+# push takes slot k: cells[k] is its level signed by its colour (levels
+# are at most steps <= MAX_STEPS, within 32 bits), below[k] the slot
+# under it in its column or -1. top_cell[i] is the slot of column i's top
+# or -1 and tops[i] its level or 0; these and in_roof have sentinels at
+# columns 0 and n + 1. A cancellation pops top_cell[i] to below[...].
 
 
-def _semigroup_steps(n, letters, burn_in, snap_every, tops, in_roof, hist, snap_tops, snap_roof):
+def _steps(n, shift, burn_in, snap_every, letters, cells, below, top_cell, tops, in_roof, hist, snap_tops, snap_roof):
     height = 0
     roof_size = 0
-    snap_row = 0
-    for step in range(letters.shape[0]):
-        i = letters[step] + 1  # 1-based column; tops has sentinels at 0, n+1
-        t = tops[i - 1]
-        if tops[i] > t:
-            t = tops[i]
-        if tops[i + 1] > t:
-            t = tops[i + 1]
-        tops[i] = t + 1
-        if t + 1 > height:
-            height = t + 1
-        lo = i - 1 if i > 1 else 1
-        hi = i + 1 if i < n else n
-        for j in range(lo, hi + 1):
-            m = 0
-            if tops[j] > 0 and tops[j] >= tops[j - 1] and tops[j] >= tops[j + 1]:
-                m = 1
-            roof_size += m - in_roof[j]
-            in_roof[j] = m
-        if step >= burn_in:
-            hist[roof_size] += 1
-        if snap_every > 0 and (step + 1) % snap_every == 0 and snap_row < snap_tops.shape[0]:
-            for j in range(1, n + 1):
-                snap_tops[snap_row, j - 1] = tops[j]
-                snap_roof[snap_row, j - 1] = in_roof[j]
-            snap_row += 1
-    return height, snap_row
-
-
-def _group_steps(n, letters, burn_in, snap_every, levels, colors, depth, tops, top_colors, in_roof, hist, snap_tops, snap_roof):
-    height = 0
-    roof_size = 0
-    snap_row = 0
-    length = 0
+    snap_pos = 0
+    pushes = 0
     reductions = 0
     red_window = 0
     plus_window = 0
     minus_window = 0
-    cap = levels.shape[1]
-    for step in range(letters.shape[0]):
+    for step in range(len(letters)):
         code = letters[step]
-        i = (code >> 1) + 1
-        s = 1 if (code & 1) == 0 else -1
-        ci = i - 1
-        t = tops[i - 1]
-        if tops[i] > t:
-            t = tops[i]
-        if tops[i + 1] > t:
-            t = tops[i + 1]
+        i = (code >> shift) + 1
+        s = 1 - 2 * (code & shift)
+        a = tops[i - 1]
+        b = tops[i]
+        c = tops[i + 1]
+        t = a if a > b else b
+        if c > t:
+            t = c
         old_roof = roof_size
-        reduced = False
-        if depth[ci] > 0 and tops[i] == t and top_colors[i] == -s:
-            # the top cell of column i is removable and cancels the letter
-            depth[ci] -= 1
-            d = depth[ci]
-            if d > 0:
-                tops[i] = levels[ci, d - 1]
-                top_colors[i] = colors[ci, d - 1]
-            else:
-                tops[i] = 0
-                top_colors[i] = 0
-            length -= 1
+        k = top_cell[i]
+        reduced = k >= 0 and cells[k] == -s * t
+        if reduced:  # column i's top is removable and of the opposite colour
+            k = below[k]
+            top_cell[i] = k
+            tops[i] = abs(cells[k]) if k >= 0 else 0
             reductions += 1
-            reduced = True
         else:
-            d = depth[ci]
-            if d >= cap:
-                return -1, height, length, reductions, red_window, plus_window, minus_window, snap_row
-            levels[ci, d] = t + 1
-            colors[ci, d] = s
-            depth[ci] = d + 1
-            tops[i] = t + 1
-            top_colors[i] = s
-            length += 1
-            if t + 1 > height:
-                height = t + 1
+            t += 1
+            cells[pushes] = s * t
+            below[pushes] = k
+            top_cell[i] = pushes
+            pushes += 1
+            tops[i] = t
+            if t > height:
+                height = t
         lo = i - 1 if i > 1 else 1
         hi = i + 1 if i < n else n
         for j in range(lo, hi + 1):
@@ -255,33 +241,26 @@ def _group_steps(n, letters, burn_in, snap_every, levels, colors, depth, tops, t
                     plus_window += 1
                 elif roof_size < old_roof:
                     minus_window += 1
-        if snap_every > 0 and (step + 1) % snap_every == 0 and snap_row < snap_tops.shape[0]:
+        if snap_every > 0 and (step + 1) % snap_every == 0:
             for j in range(1, n + 1):
-                snap_tops[snap_row, j - 1] = tops[j]
-                snap_roof[snap_row, j - 1] = in_roof[j]
-            snap_row += 1
-    return 0, height, length, reductions, red_window, plus_window, minus_window, snap_row
+                snap_tops[snap_pos] = tops[j]
+                snap_roof[snap_pos] = in_roof[j]
+                snap_pos += 1
+    return height, pushes, reductions, red_window, plus_window, minus_window
 
 
 if _HAVE_NUMBA:
-    _semigroup_steps_jit = _njit(cache=True)(_semigroup_steps)
-    _group_steps_jit = _njit(cache=True)(_group_steps)
+    _steps_jit = _njit(cache=True)(_steps)
 
 
-def run_trial(
-    params: WalkParams,
-    trial_index: int,
-    engine: str = "auto",
-    column_capacity: int | None = None,
-) -> WalkStats:
+def run_trial(params: WalkParams, trial_index: int, engine: str = "auto") -> WalkStats:
     """
-    Execute one trial deterministically.
+    Execute one trial deterministically, through the step kernel shared
+    by both modes, with one of `steps` preallocated slots per push.
 
-    engine: "numba" (compiled kernel), "python" (same kernel source
-    interpreted), or "auto". Both produce identical WalkStats.
-    column_capacity bounds the per-column cell storage in group mode;
-    the default 64 + 8 * steps / n is far above the stationary load,
-    and overflowing it raises rather than truncates.
+    engine: "numba" (the kernel compiled, over numpy arrays), "python"
+    (the same source interpreted, over lists and array('i') buffers), or
+    "auto" (numba when importable). Both produce identical WalkStats.
     """
     if engine not in ("auto", "numba", "python"):
         raise ValueError("engine must be auto, numba, or python")
@@ -290,46 +269,41 @@ def run_trial(
     use_numba = engine == "numba" or (engine == "auto" and _HAVE_NUMBA)
 
     n = params.n
-    letters = letter_stream(params, trial_index)
-    tops = np.zeros(n + 2, dtype=np.int64)
-    in_roof = np.zeros(n + 2, dtype=np.int64)
-    hist = np.zeros(n + 1, dtype=np.int64)
     snaps = params.steps // params.snapshot_every if params.snapshot_every else 0
-    snap_tops = np.zeros((snaps, n), dtype=np.int64)
-    snap_roof = np.zeros((snaps, n), dtype=np.int64)
-
-    if params.mode == SEMIGROUP:
-        fn = _semigroup_steps_jit if use_numba else _semigroup_steps
-        height, snap_rows = fn(
-            n, letters, params.burn_in, params.snapshot_every,
-            tops, in_roof, hist, snap_tops, snap_roof,
+    letters = letter_stream(params, trial_index)
+    if not use_numba:
+        letters = letters.tolist()  # before the slots exist, to lower the peak
+    slots = array("i", [0]) * params.steps
+    buffers = (
+        slots,  # cells
+        array("i", slots),  # below
+        [-1] * (n + 2),  # top_cell
+        [0] * (n + 2),  # tops
+        [0] * (n + 2),  # in_roof
+        [0] * (n + 1),  # hist
+        [0] * (snaps * n),  # snap_tops
+        [0] * (snaps * n),  # snap_roof
+    )
+    kernel = _steps
+    if use_numba:
+        kernel = _steps_jit
+        buffers = tuple(
+            np.asarray(b) if isinstance(b, array) else np.array(b, dtype=np.int64)
+            for b in buffers
         )
-        final_length = params.steps
-        reductions = red_window = plus_window = minus_window = 0
-    else:
-        cap = column_capacity or 64 + 8 * params.steps // n
-        levels = np.zeros((n, cap), dtype=np.int32)
-        colors = np.zeros((n, cap), dtype=np.int8)
-        depth = np.zeros(n, dtype=np.int64)
-        top_colors = np.zeros(n + 2, dtype=np.int64)
-        fn = _group_steps_jit if use_numba else _group_steps
-        status, height, final_length, reductions, red_window, plus_window, minus_window, snap_rows = fn(
-            n, letters, params.burn_in, params.snapshot_every,
-            levels, colors, depth, tops, top_colors, in_roof,
-            hist, snap_tops, snap_roof,
+    shift = 1 if params.mode == GROUP else 0
+    height, pushes, reductions, red_window, plus_window, minus_window = kernel(
+        n, shift, params.burn_in, params.snapshot_every, letters, *buffers
+    )
+    hist, snap_tops, snap_roof = buffers[5:]
+    snapshots = tuple(
+        (
+            (row + 1) * params.snapshot_every,
+            tuple(int(x) for x in snap_tops[row * n:(row + 1) * n]),
+            tuple(int(x) for x in snap_roof[row * n:(row + 1) * n]),
         )
-        if status != 0:
-            raise RuntimeError(
-                f"column storage overflow (capacity {cap}); "
-                "pass a larger column_capacity"
-            )
-
-    snap_list = []
-    for row in range(snap_rows):
-        step = (row + 1) * params.snapshot_every
-        snap_list.append(
-            (step, tuple(int(x) for x in snap_tops[row]), tuple(int(x) for x in snap_roof[row]))
-        )
+        for row in range(snaps)
+    )
     return WalkStats(
         n=n,
         mode=params.mode,
@@ -337,14 +311,14 @@ def run_trial(
         trial_index=trial_index,
         burn_in=params.burn_in,
         window_steps=params.steps - params.burn_in,
-        final_length=int(final_length),
+        final_length=int(pushes - reductions),
         height=int(height),
         reductions=int(reductions),
         reductions_window=int(red_window),
         roof_delta_plus_given_reduction=int(plus_window),
         roof_delta_minus_given_reduction=int(minus_window),
         roof_hist=tuple(int(c) for c in hist),
-        snapshots=tuple(snap_list),
+        snapshots=snapshots,
     )
 
 
@@ -438,7 +412,7 @@ def heap_profile_stats(stats) -> dict:
     }
 
 
-def run_walk(params: WalkParams, engine: str = "auto") -> tuple[dict, list[WalkStats]]:
+def run_walk(params: WalkParams) -> tuple[dict, list[WalkStats]]:
     """
     Run all trials in index order; returns (report, per-trial stats).
 
@@ -448,7 +422,7 @@ def run_walk(params: WalkParams, engine: str = "auto") -> tuple[dict, list[WalkS
     Inapplicable entries (alpha in semigroup mode, deposit geometry in
     group mode) are None.
     """
-    runs = [run_trial(params, t, engine) for t in range(params.trials)]
+    runs = [run_trial(params, t) for t in range(params.trials)]
     drift_mean, drift_se = drift_estimate(runs)
     report = {
         "mode": params.mode,
@@ -522,7 +496,10 @@ def roof_chain_run(
         burn_in = min(10 * n, steps - 1)
     if not 0 <= burn_in < steps:
         raise ValueError("need 0 <= burn_in < steps")
-    codes = _letter_codes(seed, 0, steps, n, mode)
+    samples = steps // sample_every if sample_every > 0 else 0
+    _check_budget(steps, 3 * n + 2 * samples)
+    codes = _letter_codes(seed, 0, steps, n, mode).tolist()
+    shift = 1 if mode == GROUP else 0
 
     eps = [0] * n
     ones = 0
@@ -537,31 +514,18 @@ def roof_chain_run(
         else:
             left[j] = j - 1
             right[j] = j + 1 if j + 1 < n else -1
-    for step in range(steps):
-        code = int(codes[step])
-        if mode == GROUP:
-            j = code >> 1
-            reduce_coin = code & 1
-            if eps[j] == 1:
-                if reduce_coin:
-                    eps[j] = 0
+    for step, code in enumerate(codes):
+        j = code >> shift
+        if eps[j] == 0:
+            eps[j] = 1
+            ones += 1
+            for k in (left[j], right[j]):
+                if k >= 0 and eps[k]:
+                    eps[k] = 0
                     ones -= 1
-            else:
-                eps[j] = 1
-                ones += 1
-                for k in (left[j], right[j]):
-                    if k >= 0 and eps[k]:
-                        eps[k] = 0
-                        ones -= 1
-        else:
-            j = code
-            if eps[j] == 0:
-                eps[j] = 1
-                ones += 1
-                for k in (left[j], right[j]):
-                    if k >= 0 and eps[k]:
-                        eps[k] = 0
-                        ones -= 1
+        elif code & shift:  # a group letter's reduce coin; never in semigroup mode
+            eps[j] = 0
+            ones -= 1
         if step >= burn_in:
             acc += ones
         if sample_every > 0 and (step + 1) % sample_every == 0:

@@ -370,6 +370,59 @@ def test_spectrum_degree_budget_exits_two(capsys, argv):
     assert err.startswith("error:") and "budgeted for n <=" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["walk", "--mode", "group", "--n", "1", "--steps", str(walk.MAX_STEPS + 1), "--format", "json"],
+        ["walk", "--mode", "semigroup", "--n", "1", "--steps", str(2**64 - 1), "--format", "json"],
+        # 2 n snapshot slots per step, over walk.MAX_SLOTS
+        ["walk", "--mode", "semigroup", "--n", "100", "--steps", str(walk.MAX_SLOTS // 200 + 1),
+         "--snapshot-every", "1"],
+        ["roof-chain", "--n", "1", "--steps", str(walk.MAX_STEPS + 1), "--format", "json"],
+        ["roof-chain", "--n", "1", "--steps", str(2**64 - 1), "--format", "json"],
+    ],
+)
+def test_walk_budget_exits_two(capsys, monkeypatch, argv):
+    _forbid(monkeypatch, "_letter_codes")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "budgeted at <=" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # its counts would pass the 4300-digit limit of int-to-str conversion
+        ["count", "--variant", "semigroup", "--n", "30", "--k-max", "7500"],
+        ["count", "--variant", "group", "--n", "1", "--k-max", str(counting.COUNT_MAX_K + 1)],
+        ["count", "--variant", "group", "--n", str(counting.COUNT_MAX_WORK + 1), "--k-max", "1"],
+        ["count", "--variant", "group", "--n", str(2**32 - 1), "--k-max", "1"],
+        ["volume", "--variant", "group", "--n", "2", "--k-max", str(counting.COUNT_MAX_K + 1)],
+    ],
+)
+def test_count_budget_exits_two(capsys, monkeypatch, argv):
+    def boom(*args):
+        raise AssertionError("the count sweep ran")
+
+    monkeypatch.setattr(counting, "_succession_sweep", boom)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "counts are budgeted" in err
+
+
+def test_count_at_k_max_cap_prints(capsys):
+    # the largest admitted group count stays under the 4300-digit limit
+    n = counting.COUNT_MAX_WORK // counting.COUNT_MAX_K
+    code, out, err = run(capsys, "count", "--variant", "group", "--n", str(n),
+                         "--k-max", str(counting.COUNT_MAX_K))
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 2 + counting.COUNT_MAX_K
+    assert 3000 < len(lines[-1].split(",")[-1]) < 4300
+
+
 def test_help_exits_zero(capsys):
     assert run_command(["--help"]) == 0
     assert "usage: locfree" in capsys.readouterr().out

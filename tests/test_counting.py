@@ -249,6 +249,19 @@ def test_spectrum_self_checks_fire(monkeypatch):
         counting.spectrum_numeric(30)
 
 
+def test_count_budget():
+    for n, k_max in (
+        (1, counting.COUNT_MAX_K + 1),
+        (counting.COUNT_MAX_WORK + 1, 1),
+        (counting.COUNT_MAX_WORK // 2 + 1, 2),
+    ):
+        for variant in (GROUP, SEMIGROUP, PROJECTIVE):
+            with pytest.raises(ValueError, match="budgeted"):
+                counting.count_words_range(n, k_max, variant)
+        with pytest.raises(ValueError, match="budgeted"):
+            counting.count_words(n, k_max, RESTRICTED, r=3)
+
+
 def test_spectrum_degree_budget():
     with pytest.raises(ValueError, match="budgeted"):
         counting.spectrum_numeric(counting.SPECTRUM_MAX_N + 1)

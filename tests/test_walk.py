@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from locfree import walk
+from locfree import core, walk
 from locfree.walk import GROUP, SEMIGROUP, WalkParams
 
 needs_numba = pytest.mark.skipif(not walk._HAVE_NUMBA, reason="numba unavailable")
@@ -25,6 +25,29 @@ def test_params_validation():
     ):
         with pytest.raises(ValueError):
             WalkParams(**bad)
+
+
+def test_params_budget_rejects_before_allocation(monkeypatch):
+    def boom(*args):
+        raise AssertionError("letter codes were drawn")
+
+    monkeypatch.setattr(walk, "_letter_codes", boom)
+    for bad in (
+        dict(n=1, steps=walk.MAX_STEPS + 1),
+        dict(n=1, steps=2**64 - 1),
+        # 2 n (steps // snapshot_every) snapshot slots over MAX_SLOTS
+        dict(n=100, steps=walk.MAX_SLOTS // 200 + 1, snapshot_every=1),
+        dict(n=2**32 - 1, steps=1),
+        dict(n=1, steps=1, trials=2**32 - 1),
+    ):
+        with pytest.raises(ValueError, match="budgeted"):
+            WalkParams(**{"trials": 1, "seed": 0, "mode": GROUP, **bad})
+    for n, steps in ((1, walk.MAX_STEPS + 1), (1, 2**64 - 1), (2**32 - 1, 1)):
+        with pytest.raises(ValueError, match="budgeted"):
+            walk.roof_chain_run(n, steps, seed=0)
+    # the acceptance criteria's runs are admitted
+    WalkParams(n=100, steps=10**6, trials=8, seed=0, mode=GROUP)
+    WalkParams(n=1, steps=walk.MAX_STEPS, trials=1, seed=0, mode=SEMIGROUP)
 
 
 def test_params_burn_in_default():
@@ -58,6 +81,90 @@ def test_trial_deterministic():
 def test_engines_bit_identical(mode):
     p = WalkParams(n=12, steps=20_000, trials=1, seed=41, mode=mode, snapshot_every=5000)
     assert walk.run_trial(p, 0, engine="numba") == walk.run_trial(p, 0, engine="python")
+
+
+def _replay(p: WalkParams, trial: int) -> walk.WalkStats:
+    """
+    The trial's letters pushed one by one through core.push_letter, with
+    every statistic read off core's heap and core.roof_of: a reference
+    that shares no code with the step kernel.
+    """
+    heap = core.empty_heap(p.n, p.mode)
+    height = reductions = red_window = plus = minus = 0
+    hist = [0] * (p.n + 1)
+    snapshots = []
+    roof = 0
+    for step, code in enumerate(walk.letter_stream(p, trial).tolist()):
+        if p.mode == GROUP:
+            letter = core.Letter(code // 2 + 1, 1 if code % 2 == 0 else -1)
+        else:
+            letter = core.Letter(code + 1, 1)
+        before = heap.length
+        heap = core.push_letter(heap, letter)
+        reduced = heap.length < before
+        tops = tuple(col[-1][0] if col else 0 for col in heap.columns)
+        marks = core.roof_of(heap)
+        height = max(height, *tops)
+        reductions += reduced
+        if step >= p.burn_in:
+            hist[marks.size] += 1
+            if reduced:
+                red_window += 1
+                plus += marks.size > roof
+                minus += marks.size < roof
+        roof = marks.size
+        if p.snapshot_every and (step + 1) % p.snapshot_every == 0:
+            snapshots.append((step + 1, tops, tuple(int(m != 0) for m in marks.marks)))
+    return walk.WalkStats(
+        n=p.n, mode=p.mode, steps=p.steps, trial_index=trial, burn_in=p.burn_in,
+        window_steps=p.steps - p.burn_in, final_length=heap.length, height=height,
+        reductions=reductions, reductions_window=red_window,
+        roof_delta_plus_given_reduction=plus, roof_delta_minus_given_reduction=minus,
+        roof_hist=tuple(hist), snapshots=tuple(snapshots),
+    )
+
+
+@pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
+def test_trial_matches_core_replay(mode):
+    for n in (1, 2, 3, 5, 12):
+        for seed in (4, 9):
+            p = WalkParams(n=n, steps=1500, trials=2, seed=seed, mode=mode, snapshot_every=1)
+            for trial in range(p.trials):
+                assert walk.run_trial(p, trial) == _replay(p, trial), (n, seed, trial)
+
+
+@pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
+def test_kernel_over_numpy_buffers(monkeypatch, mode):
+    # the numba engine's numpy buffers, driven through the interpreted
+    # kernel: the array form numba compiles, checked without numba
+    monkeypatch.setattr(walk, "_HAVE_NUMBA", True)
+    monkeypatch.setattr(walk, "_steps_jit", walk._steps, raising=False)
+    p = WalkParams(n=12, steps=4000, trials=1, seed=41, mode=mode, snapshot_every=1000)
+    assert walk.run_trial(p, 0, engine="numba") == walk.run_trial(p, 0, engine="python")
+
+
+def test_pinned_stats():
+    # recorded from the two-kernel implementation this one replaced
+    st = walk.run_trial(WalkParams(n=5, steps=2000, trials=1, seed=3, mode=GROUP, snapshot_every=1000), 0)
+    assert (st.final_length, st.height, st.reductions, st.reductions_window) == (1242, 818, 379, 373)
+    assert (st.roof_delta_plus_given_reduction, st.roof_delta_minus_given_reduction) == (33, 106)
+    assert st.roof_hist == (0, 372, 1351, 227, 0, 0)
+    assert st.snapshots == (
+        (1000, (395, 394, 404, 402, 400), (1, 0, 1, 0, 0)),
+        (2000, (810, 816, 815, 818, 817), (0, 1, 0, 1, 0)),
+    )
+    st = walk.run_trial(WalkParams(n=4, steps=1500, trials=1, seed=11, mode=SEMIGROUP, snapshot_every=500), 0)
+    assert (st.final_length, st.height, st.reductions, st.window_steps) == (1500, 1060, 0, 1460)
+    assert st.roof_hist == (0, 553, 907, 0, 0)
+    assert st.snapshots == (
+        (500, (340, 339, 337, 339), (1, 0, 0, 1)),
+        (1000, (709, 707, 708, 709), (1, 0, 0, 1)),
+        (1500, (1060, 1059, 1060, 1059), (1, 0, 1, 0)),
+    )
+    st = walk.run_trial(WalkParams(n=1, steps=300, trials=1, seed=0, mode=GROUP), 0)
+    assert (st.final_length, st.height, st.reductions, st.reductions_window) == (6, 13, 147, 143)
+    assert (st.roof_delta_plus_given_reduction, st.roof_delta_minus_given_reduction) == (0, 16)
+    assert st.roof_hist == (16, 274)
 
 
 def test_single_step_trial():
