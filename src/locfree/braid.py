@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 from locfree import counting
-from locfree.counting import GROUP, SEMIGROUP
+from locfree.core import GROUP, SEMIGROUP
 
 LOG7 = math.log(7.0)
 

@@ -13,13 +13,15 @@ significant digits. Exit codes: 0 success, 1 oracle-verify mismatch,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 
 from locfree import braid, counting, walk
 from locfree import oracle as oracle_mod
-from locfree.counting import GROUP, PROJECTIVE, RESTRICTED, SEMIGROUP, VARIANTS
+from locfree.core import GROUP, SEMIGROUP
+from locfree.counting import PROJECTIVE, RESTRICTED, VARIANTS
 
 
 def _sig12(x):
@@ -273,19 +275,7 @@ def _cmd_oracle_verify(args) -> int:
 
 def _cmd_braid_bounds(args) -> int:
     report = braid.bounds_report(args.n, args.alpha)
-    _emit_json(
-        {
-            "n": report.n,
-            "v_lf": report.v_lf,
-            "volume_lower": report.volume_lower,
-            "volume_upper": report.volume_upper,
-            "drift_lower": report.drift_lower,
-            "drift_upper": report.drift_upper,
-            "alpha_used": report.alpha_used,
-            "epsilon": report.epsilon,
-        },
-        args.out,
-    )
+    _emit_json(dataclasses.asdict(report), args.out)
     return 0
 
 
@@ -300,18 +290,7 @@ def _cmd_inequality(args) -> int:
         l = braid.drift_bounds(args.alpha)[1]
         h = math.log(3.0 - args.alpha)
     report = braid.inequality_report(v, l, h)
-    _emit_json(
-        {
-            "v": report.v,
-            "l": report.l,
-            "h": report.h,
-            "epsilon": report.epsilon,
-            "grid_min_epsilon": report.grid_min_epsilon,
-            "grid_argmin_alpha": report.grid_argmin_alpha,
-            "grid_step": report.grid_step,
-        },
-        args.out,
-    )
+    _emit_json(dataclasses.asdict(report), args.out)
     return 0
 
 

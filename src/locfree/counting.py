@@ -2,34 +2,43 @@
 Exact big-integer word counts, logarithmic volumes, and spectra for
 locally free groups and their quotients.
 
-Everything reduces to the succession matrix T_n of normal-form index
-sequences: (T_n)_{ab} = 1 iff index b may follow index a, i.e. b = a-1
-or b > a. The number of admissible index sequences of length s is
+A normal form of s syllables is an admissible index sequence, in which
+index b may follow index a iff b = a-1 or b > a, with one nonzero
+exponent class per syllable. The succession matrix T_n, (T_n)_{ab} = 1
+iff b may follow a, counts the index sequences of length s as
+theta_n(s) = <v, T_n^{s-1} v>, v = (1, ..., 1). The variants differ
+only in their syllable series h(z), whose z^j coefficient counts the
+exponent classes of geodesic length j, and all of them share one form
 
-    theta_n(s) = <v, T_n^{s-1} v>,    v = (1, ..., 1),
+    h(z) = z A(z) / (1 - d z),    A with at most three terms:
 
-and summing over exponent choices per syllable gives the element counts
-of reduced length exactly K:
+    group                 A = 2,                    d = 1
+    semigroup             A = 1,                    d = 1
+    projective (f^2 = f)  A = 1,                    d = 0
+    restricted, r = 2     A = 1,                    d = 0
+    restricted, r = 2m+1  A = 2 - 2 z^m,            d = 1
+    restricted, r = 2m    A = 2 - z^(m-1) - z^m,    d = 1   (m >= 2)
 
-    group            V(n, K) = 2 <v, (2 T_n + I)^{K-1} v>
-    semigroup        V(n, K) =   <v, (T_n + I)^{K-1} v>
-    projective       V(n, K) = theta_n(K)
-    restricted (r)   V(n, K) = sum_s N_r(K, s) theta_n(s)
+since the classes mod r have two of each geodesic length 1..m, except
+that an even r has one of length m. The count of reduced length K is
+V(n, K) = sum_s [z^K] h^s theta_n(s). The vector series Y = sum_s h^s
+T_n^{s-1} v obeys Y = h (v + T_n Y), so with Z_0 = v and Z_K = T_n Y_K
 
-where N_r(K, s) counts tuples of s nonzero exponent classes mod r whose
-geodesic lengths sum to K. N_r is extracted from per-syllable
-generating polynomials g_r: the z^j coefficient of g_r counts nonzero
-classes of Z/rZ with geodesic length j+1, so N_r(K, s) = [z^{K-s}] g_r^s.
-Explicitly g_2 = 1, g_{2m} = 2 + 2z + ... + 2z^{m-2} + z^{m-1}, and
-g_{2m+1} = 2(1 + z + ... + z^{m-1}).
+    Y_K = d Y_{K-1} + sum_j A_j Z_{K-1-j},    V(n, K) = sum_a (Y_K)_a.
+
+That is Y_K = (2 T_n + I) Y_{K-1} for the group, (T_n + I) Y_{K-1} for
+the semigroup and T_n Y_{K-1} for the projective variant, each from
+Y_1 = A_0 v; the restricted variant adds the tail Z_{K-m} and
+Z_{K-1-m} from a ring of the last m + 1 Z vectors. The same series
+gives the restricted syllable counts N_r(K, s) = [z^{K-s}] g_r^s, with
+g_r = A / (1 - d z), and the restricted growth base.
 
 T_n is never stored. Its action has the suffix-sum form
 
     (T_n v)_a = v_{a-1} + sum_{b>a} v_b,    v_0 = 0,
 
-one right-to-left pass of n big-int additions, so all four variants
-come from one sweep of (c T_n + d I) applied to v, and the counts for
-K = 1..K_max cost O(n K_max) exact big-int additions.
+one right-to-left pass of n big-int additions, so the counts for
+K = 1..K_max of every variant cost O(n K_max) exact big-int additions.
 
 The logarithmic volume v = lim_K log(V(K)/V(K-1)) follows from the top
 eigenvalue of T_n. The characteristic polynomial a_n(x) = det(T_n - xI)
@@ -48,8 +57,10 @@ costs one such bisection.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from locfree.core import GROUP, SEMIGROUP
 
@@ -71,7 +82,9 @@ def _check_variant(variant: str, r) -> None:
 
 # The sweep costs O(n k_max) big-int additions: (n, k_max) = (1000, 1000)
 # took 0.97 s, (317, 3940) 3.2 s and (10^6, 2) 0.29 s at 106 MB RSS on a
-# 2-vCPU VM with Python 3.11.
+# 2-vCPU VM with Python 3.11. The restricted ring holds up to m + 1 of the
+# Z vectors: at (250, 4000) the peak RSS is 24 MB for r = 5 and 7999 and
+# at most 364 MB, near r = 2700 (m about k_max / 3), on the same VM.
 COUNT_MAX_K = 4000
 COUNT_MAX_WORK = 1_000_000
 
@@ -112,74 +125,72 @@ def _succession_step(vec: list[int]) -> list[int]:
     return out
 
 
-def _succession_sweep(n: int, k_max: int, c: int, d: int) -> list[int]:
-    """[<v, (c T_n + d I)^k v> for k = 0..k_max-1], v = (1, ..., 1)."""
-    vec = [1] * n
-    out = [n]
-    for _ in range(k_max - 1):
-        vec = [c * t + d * x for t, x in zip(_succession_step(vec), vec)]
-        out.append(sum(vec))
-    return out
-
-
-def syllable_gf_coefficients(r: int) -> list[int]:
+def _syllable_series(variant: str, r: int | None) -> tuple[tuple[tuple[int, int], ...], int]:
     """
-    Coefficients of g_r(z); the z^j entry counts nonzero classes of
-    Z/rZ whose geodesic length is j+1.
+    (A, d) with h(z) = z A(z) / (1 - d z), A as its (j, A_j) terms in
+    ascending j; d = 0 only with A = 1.
     """
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    if r == 2:
-        return [1]
+    if variant == GROUP:
+        return ((0, 2),), 1
+    if variant == SEMIGROUP:
+        return ((0, 1),), 1
+    if variant == PROJECTIVE or r == 2:
+        return ((0, 1),), 0
     m = r // 2
-    if r % 2 == 0:
-        return [2] * (m - 1) + [1]
-    return [2] * m
+    if r % 2:
+        return ((0, 2), (m, -2)), 1
+    return ((0, 2), (m - 1, -1), (m, -1)), 1
 
 
-def _poly_mul(a, b, trunc=None):
-    deg = len(a) + len(b) - 2
-    if trunc is not None:
-        deg = min(deg, trunc)
-    out = [0] * (deg + 1)
-    for i, x in enumerate(a):
-        if x == 0 or i > deg:
-            continue
-        for j, y in enumerate(b):
-            if i + j > deg:
-                break
-            out[i + j] += x * y
+def _succession_sweep(n: int, k_max: int, numer, d: int) -> list[int]:
+    """
+    [V(n, 1), ..., V(n, k_max)] for the syllable series z A(z)/(1 - d z):
+    Y_K = d Y_{K-1} + sum_j A_j Z_{K-1-j}, Z_0 = v, Z_K = T_n Y_K.
+
+    Terms with j >= k_max never reach a count. The tail terms (j >= 1)
+    read Z_{K-1-j} from a ring of the last max j + 1 Z vectors, ring[j];
+    a Z_K that no tail term reads before k_max, K >= k_max - min j, is
+    held there as None.
+    """
+    (_, a0), *tail = [(j, a) for j, a in numer if j < k_max]
+    keep = k_max - tail[0][0] if tail else 0
+    z = [1] * n
+    ring = deque([z], maxlen=tail[-1][0] + 1 if tail else 1)
+    y = [0] * n
+    out = []
+    for K in range(1, k_max + 1):
+        y = [u + a0 * w for u, w in zip(y, z)] if d else z
+        for j, a in tail:
+            if j < K:
+                y = [u + a * w for u, w in zip(y, ring[j])]
+        out.append(sum(y))
+        if K < k_max:
+            z = _succession_step(y)
+            ring.appendleft(z if K < keep else None)
     return out
 
 
 def restricted_syllable_count(r: int, K: int, s: int) -> int:
     """
     N_r(K, s): tuples of s nonzero exponent classes mod r with geodesic
-    lengths summing to K, as the z^{K-s} coefficient of g_r(z)^s.
+    lengths summing to K, as the z^{K-s} coefficient of g_r(z)^s with
+    g_r = A / (1 - d z): s passes of the sparse A, each followed by a
+    running sum when d = 1.
     """
     if not 1 <= s <= K:
         raise ValueError("need 1 <= s <= K")
-    g = syllable_gf_coefficients(r)
+    if r < 2:
+        raise ValueError("r must be >= 2")
+    numer, d = _syllable_series(RESTRICTED, r)
     target = K - s
-    power = [1]
+    power = [1] + [0] * target  # g_r^0, truncated at z^target
     for _ in range(s):
-        power = _poly_mul(power, g, trunc=target)
-    return power[target] if target < len(power) else 0
-
-
-def _restricted_counts(n: int, k_max: int, r: int) -> list[int]:
-    """[V(n, 1), ..., V(n, k_max)] for the order-r restricted group."""
-    thetas = _succession_sweep(n, k_max, 1, 0)
-    g = syllable_gf_coefficients(r)
-    counts = [0] * k_max
-    power = [1]  # g^s, truncated as far as any K <= k_max can use it
-    for s in range(1, k_max + 1):
-        power = _poly_mul(power, g, trunc=k_max - s)
-        for K in range(s, k_max + 1):
-            j = K - s
-            if j < len(power) and power[j]:
-                counts[K - 1] += power[j] * thetas[s - 1]
-    return counts
+        power = [
+            sum(a * power[i - j] for j, a in numer if j <= i) for i in range(target + 1)
+        ]
+        if d:
+            power = list(accumulate(power))
+    return power[target]
 
 
 def count_words(n: int, K: int, variant: str, r: int | None = None) -> int:
@@ -190,19 +201,14 @@ def count_words(n: int, K: int, variant: str, r: int | None = None) -> int:
 def count_words_range(n: int, k_max: int, variant: str, r: int | None = None) -> list[int]:
     """
     [V(n, 1), ..., V(n, k_max)], every prefix count from one sweep of
-    the suffix-sum succession step: O(n k_max) exact big-int additions.
+    the suffix-sum succession step: O(n k_max) exact big-int additions
+    for every variant.
     """
     _check_variant(variant, r)
     if n < 1 or k_max < 1:
         raise ValueError("need n >= 1 and k_max >= 1")
     _check_count_budget(n, k_max)
-    if variant == GROUP:
-        return [2 * x for x in _succession_sweep(n, k_max, 2, 1)]
-    if variant == SEMIGROUP:
-        return _succession_sweep(n, k_max, 1, 1)
-    if variant == PROJECTIVE:
-        return _succession_sweep(n, k_max, 1, 0)
-    return _restricted_counts(n, k_max, r)
+    return _succession_sweep(n, k_max, *_syllable_series(variant, r))
 
 
 # ---------------------------------------------------------------------------
@@ -329,18 +335,16 @@ def lambda_max(n: int) -> float:
 def _restricted_growth(lam: float, r: int) -> float:
     """
     Growth base of the order-r restricted group at top eigenvalue lam:
-    1/z* where z* is the unique positive root of lam * z * g_r(z) = 1.
+    1/z* where z* is the unique positive root of lam h(z) = 1.
 
-    z g_r(z) has nonnegative coefficients, so the left side is strictly
-    increasing and bisection on [0, 1] suffices.
+    On [0, 1) that is the sign of lam z A(z) - (1 - d z); h has
+    nonnegative coefficients, so lam h is strictly increasing and
+    bisection on [0, 1] suffices.
     """
-    g = syllable_gf_coefficients(r)
+    numer, d = _syllable_series(RESTRICTED, r)
 
     def f(z: float) -> float:
-        acc = 0.0
-        for c in reversed(g):
-            acc = acc * z + c
-        return lam * z * acc - 1.0
+        return lam * z * sum(a * z**j for j, a in numer) - (1.0 - d * z)
 
     lo, hi = 0.0, 1.0
     for _ in range(200):
@@ -371,14 +375,6 @@ def limit_log_volume(variant: str, r: int | None = None, n: int | None = None) -
     if variant == PROJECTIVE:
         return math.log(lam)
     return math.log(_restricted_growth(lam, r))
-
-
-def log_volume_estimate(n: int, K: int, variant: str, r: int | None = None) -> float:
-    """log(V(n, K) / V(n, K-1)) from exact counts."""
-    if K < 2:
-        raise ValueError("K must be >= 2")
-    counts = count_words_range(n, K, variant, r)
-    return math.log(float(Fraction(counts[K - 1], counts[K - 2])))
 
 
 @dataclass(frozen=True)

@@ -36,14 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from locfree import core
-from locfree.counting import (
-    GROUP,
-    PROJECTIVE,
-    RESTRICTED,
-    SEMIGROUP,
-    VARIANTS,
-    _check_variant,
-)
+from locfree.core import GROUP, SEMIGROUP
+from locfree.counting import PROJECTIVE, RESTRICTED, VARIANTS, _check_variant
 
 # Default enumeration budgets (states); see module docstring.
 BALL_STATE_BUDGET = 2_000_000

@@ -388,9 +388,8 @@ def alpha_estimate(stats) -> tuple[float, float]:
 
 def heap_profile_stats(stats) -> dict:
     """
-    Deposit geometry of semigroup trials: height_coeff = H n / N,
-    density = N / (n H), and the retained roof snapshots as CSV-ready
-    (step, column, top_level, in_roof) rows.
+    Deposit geometry of semigroup trials, averaged over the trials:
+    height_coeff = H n / N and density = N / (n H).
     """
     runs = _as_list(stats)
     if any(t.mode != SEMIGROUP for t in runs):
@@ -400,15 +399,9 @@ def heap_profile_stats(stats) -> dict:
         warnings.warn("fewer than 100 n steps; height statistics not stationary")
     coeffs = [t.height * t.n / t.steps for t in runs]
     densities = [t.steps / (t.n * t.height) for t in runs]
-    rows = []
-    for t in runs:
-        for step, tops, roof in t.snapshots:
-            for col in range(t.n):
-                rows.append((step, col + 1, tops[col], roof[col]))
     return {
         "height_coeff": sum(coeffs) / len(coeffs),
         "density": sum(densities) / len(densities),
-        "roof_snapshots": rows,
     }
 
 

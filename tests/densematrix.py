@@ -10,13 +10,13 @@ matrix power per length K, by repeated squaring:
     projective       V(n, K) = theta_n(K) = <v, T_n^{K-1} v>
     restricted (r)   V(n, K) = sum_s N_r(K, s) theta_n(s)
 
-with v = (1, ..., 1). N_r(K, s) is counted directly from the geodesic
-length min(c, r - c) of each nonzero class c mod r. The characteristic
-polynomial det(T_n - xI) comes from sympy's fraction-free Berkowitz
-algorithm, independent of the two-term recursion
-a_k = -(x+1)(a_{k-1} + a_{k-2}), a_0 = 1, a_1 = -x, whose coefficient
-expansion and scalar evaluation are also kept here as references for
-the package's sign-count eigenvalue routine.
+with v = (1, ..., 1). N_r(K, s) and the per-syllable series g_r are
+counted directly from the geodesic length min(c, r - c) of each nonzero
+class c mod r. The characteristic polynomial det(T_n - xI) comes from
+sympy's fraction-free Berkowitz algorithm, independent of the two-term
+recursion a_k = -(x+1)(a_{k-1} + a_{k-2}), a_0 = 1, a_1 = -x, whose
+coefficient expansion and scalar evaluation are also kept here as
+references for the package's sign-count eigenvalue routine.
 Deliberately shares no code with the package under test.
 """
 
@@ -61,6 +61,17 @@ def _ones_form(m, k, scale, shift) -> int:
 def theta(n: int, s: int) -> int:
     """Number of admissible index sequences of length s."""
     return _ones_form(transfer_matrix(n), s - 1, 1, 0)
+
+
+def syllable_gf_coefficients(r: int) -> list[int]:
+    """
+    Coefficients of g_r(z); the z^j entry counts the nonzero classes of
+    Z/rZ whose geodesic length is j+1.
+    """
+    if r < 2:
+        raise ValueError("r must be >= 2")
+    lengths = [min(c, r - c) for c in range(1, r)]
+    return [lengths.count(j) for j in range(1, max(lengths) + 1)]
 
 
 def restricted_syllable_count(r: int, K: int, s: int) -> int:

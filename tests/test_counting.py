@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -88,12 +90,13 @@ def test_free_group_and_semigroup_closed_forms():
 
 def test_range_matches_single_calls():
     k_max = 12
-    for variant, r in ((GROUP, None), (SEMIGROUP, None), (PROJECTIVE, None), (RESTRICTED, 4)):
+    restricted = ((RESTRICTED, r) for r in (*range(2, 13), 2 * k_max + 1, 2 * k_max + 2))
+    for variant, r in ((GROUP, None), (SEMIGROUP, None), (PROJECTIVE, None), *restricted):
         for n in (1, 2, 3, 4, 8):
             dense = [densematrix.count_words(n, k, variant, r) for k in range(1, k_max + 1)]
-            assert counting.count_words_range(n, k_max, variant, r) == dense, (variant, n)
+            assert counting.count_words_range(n, k_max, variant, r) == dense, (variant, r, n)
             singles = [counting.count_words(n, k, variant, r) for k in range(1, k_max + 1)]
-            assert singles == dense, (variant, n)
+            assert singles == dense, (variant, r, n)
 
 
 def test_variant_validation():
@@ -110,23 +113,52 @@ def test_variant_validation():
 def test_large_r_restriction_is_vacuous():
     # classes mod r with r > 2K cannot wrap at length <= K, so the
     # restricted count collapses to the plain group count
-    for k_max in (4, 6):
-        r = 2 * k_max + 1
-        assert counting.count_words_range(3, k_max, RESTRICTED, r) == (
-            counting.count_words_range(3, k_max, GROUP)
-        )
+    for k_max in (4, 6, 12):
+        for r in (2 * k_max + 1, 2 * k_max + 2):
+            for n in (1, 2, 3, 4, 8):
+                assert counting.count_words_range(n, k_max, RESTRICTED, r) == (
+                    counting.count_words_range(n, k_max, GROUP)
+                ), (k_max, r, n)
+
+
+def test_huge_r_allocates_nothing_in_r():
+    # the restricted series has at most three terms whatever r is, and
+    # the terms past k_max are dropped, so no buffer grows with r
+    r = 10**7 + 1
+    tracemalloc.start()
+    try:
+        counts = counting.count_words_range(1, 10, RESTRICTED, r)
+        volume = counting.limit_log_volume(RESTRICTED, r, n=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert counts == counting.count_words_range(1, 10, GROUP)
+    assert volume == pytest.approx(counting.limit_log_volume(GROUP, n=5), rel=1e-12)
 
 
 # --- restricted syllable counts --------------------------------------------
 
 
+def _series_coefficients(variant, r, terms):
+    """The first terms coefficients of A / (1 - d z) for the variant's (A, d)."""
+    numer, d = counting._syllable_series(variant, r)
+    coeffs = [0] * terms
+    for j, a in numer:
+        if j < terms:
+            coeffs[j] += a
+    return list(accumulate(coeffs)) if d else coeffs
+
+
 def test_syllable_gf_coefficients():
-    assert counting.syllable_gf_coefficients(2) == [1]
-    assert counting.syllable_gf_coefficients(3) == [2]
-    assert counting.syllable_gf_coefficients(4) == [2, 1]
-    assert counting.syllable_gf_coefficients(5) == [2, 2]
-    assert counting.syllable_gf_coefficients(6) == [2, 2, 1]
-    assert counting.syllable_gf_coefficients(7) == [2, 2, 2]
+    literals = {2: [1], 3: [2], 4: [2, 1], 5: [2, 2], 6: [2, 2, 1], 7: [2, 2, 2]}
+    assert {r: densematrix.syllable_gf_coefficients(r) for r in literals} == literals
+    for r in range(2, 41):
+        want = densematrix.syllable_gf_coefficients(r)
+        assert _series_coefficients(RESTRICTED, r, len(want) + 3) == want + [0] * 3
+    assert _series_coefficients(GROUP, None, 6) == [2] * 6
+    assert _series_coefficients(SEMIGROUP, None, 6) == [1] * 6
+    assert _series_coefficients(PROJECTIVE, None, 6) == [1] + [0] * 5
 
 
 def test_restricted_syllable_examples():
@@ -142,6 +174,15 @@ def test_restricted_syllable_bounds():
         counting.restricted_syllable_count(1, 3, 2)
     with pytest.raises(ValueError):
         counting.restricted_syllable_count(4, 2, 3)
+
+
+def test_restricted_syllable_count_matches_direct():
+    for r in range(2, 13):
+        for k in range(1, 13):
+            for s in range(1, k + 1):
+                assert counting.restricted_syllable_count(r, k, s) == (
+                    densematrix.restricted_syllable_count(r, k, s)
+                ), (r, k, s)
 
 
 # --- spectrum --------------------------------------------------------------
@@ -358,7 +399,7 @@ def test_limit_log_volume_finite_n():
 
 
 def test_log_volume_estimate_free_group():
-    assert counting.log_volume_estimate(2, 40, GROUP) == pytest.approx(
+    assert counting.volume_report(2, 40, GROUP).log_ratios[-1] == pytest.approx(
         math.log(3), abs=1e-12
     )
 
@@ -371,7 +412,7 @@ def test_volume_ratio_error_shrinks():
         for n in (3, 6):
             limit = counting.limit_log_volume(variant, n=n)
             errs = [
-                abs(counting.log_volume_estimate(n, k, variant) - limit)
+                abs(counting.volume_report(n, k, variant).log_ratios[-1] - limit)
                 for k in (2 * n, 4 * n, 8 * n)
             ]
             assert errs[2] <= errs[1] <= errs[0]
