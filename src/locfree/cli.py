@@ -234,24 +234,24 @@ def _cmd_oracle_verify(args) -> int:
     failures: list[str] = []
     for variant in (GROUP, SEMIGROUP, PROJECTIVE):
         for n in range(1, args.n_max + 1):
-            census = oracle_mod.enumerate_ball(n, args.k_max, variant)
+            counts = oracle_mod.ball_counts(n, args.k_max, variant)
             for K in range(1, args.k_max + 1):
                 _grid_check(
                     failures,
                     f"{variant} n={n} K={K}",
-                    census.counts.get(K, 0),
+                    counts.get(K, 0),
                     counting.count_words(n, K, variant),
                 )
             print(f"checked {variant:10s} n={n} K<={args.k_max}")
     res_kmax = min(args.k_max, 6)
     for r in range(2, 6):
         for n in range(1, min(args.n_max, 4) + 1):
-            census = oracle_mod.enumerate_ball(n, res_kmax, RESTRICTED, r=r)
+            counts = oracle_mod.ball_counts(n, res_kmax, RESTRICTED, r=r)
             for K in range(1, res_kmax + 1):
                 _grid_check(
                     failures,
                     f"restricted r={r} n={n} K={K}",
-                    census.counts.get(K, 0),
+                    counts.get(K, 0),
                     counting.count_words(n, K, RESTRICTED, r=r),
                 )
         print(f"checked restricted r={r} n<={min(args.n_max, 4)} K<={res_kmax}")

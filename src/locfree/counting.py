@@ -367,7 +367,11 @@ def limit_log_volume(variant: str, r: int | None = None, n: int | None = None) -
     to log 7 as r grows.
     """
     _check_variant(variant, r)
-    lam = 3.0 if n is None else lambda_max(n)
+    return _log_growth(variant, r, 3.0 if n is None else lambda_max(n))
+
+
+def _log_growth(variant: str, r: int | None, lam: float) -> float:
+    """The logarithmic volume at top eigenvalue lam."""
     if variant == GROUP:
         return math.log(2.0 * lam + 1.0)
     if variant == SEMIGROUP:
@@ -404,9 +408,17 @@ class VolumeReport:
 def volume_report(n: int, k_max: int, variant: str, r: int | None = None) -> VolumeReport:
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
+    _check_variant(variant, r)
     # first, so that an n over the eigenvalue budget fails before counting
-    finite_n_limit = limit_log_volume(variant, r, n)
+    lam = lambda_max(n)
     counts = count_words_range(n, k_max, variant, r)
+    if not all(counts) or (lam == 0.0 and variant in (PROJECTIVE, RESTRICTED)):
+        # at n = 1 (lambda_max 0) the projective and restricted variants
+        # are finite: their counts vanish and no log ratio exists
+        raise ValueError(
+            f"volume is undefined for the {variant} variant at n={n}: "
+            "its word counts vanish"
+        )
     ratios = [
         float(Fraction(counts[k], counts[k - 1])) for k in range(1, k_max)
     ]
@@ -424,6 +436,6 @@ def volume_report(n: int, k_max: int, variant: str, r: int | None = None) -> Vol
         log_ratios=tuple(math.log(x) for x in ratios),
         ratio_last=ratios[-1],
         ratio_accelerated=accel,
-        finite_n_limit=finite_n_limit,
+        finite_n_limit=_log_growth(variant, r, lam),
         asymptotic_limit=limit_log_volume(variant, r),
     )

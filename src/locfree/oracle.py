@@ -21,10 +21,25 @@ over the same table, with transition rows kept. Agreement between these
 enumerations and the transfer-matrix counts is the central correctness
 gate of the package.
 
-Budgets are deliberately conservative and explicit. Callers may raise
-them (the acceptance suite does, for the n=2 group at N=12 whose ball
-holds about 1.06 million states), but exceeding a budget is an error,
-never a silent truncation.
+The explorer can also run over orbits. The automorphism f_i -> f_i^{-1}
+of one column (group and restricted variants; it maps the restricted
+class e to -e mod r) and the reflection i -> n+1-i (all variants)
+permute the letters of the uniform walk, so lengths and path counts are
+constant on their orbits. In quotient mode the explorer interns one
+representative per orbit: every column replaced by the smaller of itself
+and its label-flipped copy, then the smaller of that tuple and its
+reflection. The orbit size is 2^(columns that their flip changes), times
+2 unless the reflection lands in the same flip orbit; a column of class
+r/2 cells only (even r) is its own flip. ball_counts sums orbit sizes by
+depth; exact_drift_series reads the orbit masses, and exact_entropy the
+per-state count mass/size of each orbit. enumerate_ball and
+exact_distribution keep one entry per state, since callers index them.
+
+Budgets are deliberately conservative and explicit, and count the
+entries stored: states, or orbits in quotient mode. Callers may raise
+them (the acceptance suite does, for the n=2 group at N=12, whose ball
+holds about 1.06 million states in 132,867 orbits), but exceeding a
+budget is an error, never a silent truncation.
 """
 
 from __future__ import annotations
@@ -74,16 +89,59 @@ class ExactDistribution:
 
 
 def _letters(n: int, variant: str, r: int | None):
-    """The variant's letters as (column, label) pushes, and its merge rule."""
+    """
+    The variant's letters as (column, label) pushes, its merge rule, and
+    its label flip: flip[label] is the label of the inverse letter under
+    the automorphism f_i -> f_i^{-1}, or flip is None where the variant
+    has no such automorphism (semigroup, projective).
+    """
+    flip = None
     if variant == GROUP:
-        labels, merge = (1, -1), core._cancel
+        labels, merge, flip = (1, -1), core._cancel, {1: -1, -1: 1}
     elif variant == SEMIGROUP:
         labels, merge = (1,), None
     elif variant == PROJECTIVE:
         labels, merge = (1,), lambda top, label: top  # f_i f_i = f_i
     else:
         labels, merge = (1 % r, -1 % r), lambda top, label: (top + label) % r
-    return [(i, label) for i in range(1, n + 1) for label in labels], merge
+        flip = [-e % r for e in range(r)]
+    return [(i, label) for i in range(1, n + 1) for label in labels], merge, flip
+
+
+def _canonical(state, i: int, flip):
+    """
+    The orbit representative of a state whose columns other than column
+    i (1-based) are already canonical.
+
+    A column is canonical when it is the smaller of itself and its
+    label-flipped copy. The two first differ at the first cell whose
+    label is not its own flip, so that cell alone decides. The
+    representative is then the smaller of the columns tuple and its
+    reflection, which makes it the smallest state of its orbit.
+    """
+    if flip is not None:
+        col = state[i - 1]
+        for _, label in col:
+            inverse = flip[label]
+            if inverse != label:
+                if inverse < label:
+                    col = tuple((level, flip[c]) for level, c in col)
+                    state = state[: i - 1] + (col,) + state[i:]
+                break
+    mirror = state[::-1]
+    return mirror if mirror < state else state
+
+
+def _orbit_size(state, flip) -> int:
+    """
+    2^(columns that their flip changes), times 2 unless the reflection
+    lands in the same flip orbit. A column of self-inverse cells only
+    (class r/2 at even r) is fixed by its flip.
+    """
+    moved = 0
+    if flip is not None:
+        moved = sum(1 for col in state if any(flip[c] != c for _, c in col))
+    return 2**moved * (1 if state[::-1] == state else 2)
 
 
 class _Interned:
@@ -92,21 +150,32 @@ class _Interned:
 
     states[sid] is the columns tuple, depth_of[sid] the push count that
     first reached it, which is its reduced length: every push changes
-    the length by at most one. succ[sid] lists the successor ids in
-    letter order (states first reached at full depth are not stepped
-    from); rows=False keeps none and leaves succ None, for callers that
-    read only the depths. max_states=None means BALL_STATE_BUDGET.
+    the length by at most one. ids maps each state back to its id.
+    succ[sid] lists the successor ids in letter order (states first
+    reached at full depth are not stepped from); rows=False keeps none
+    and leaves succ None, for callers that read only the depths.
+    max_states=None means BALL_STATE_BUDGET; it bounds the stored
+    entries.
+
+    quotient=True stores one representative per orbit of the letter
+    permutations f_i -> f_i^{-1} (group and restricted) and i -> n+1-i
+    (all variants), and sizes[sid] is the orbit's size (None otherwise).
+    Path counts are constant on orbits, succ keeps the representative's
+    successors as representative ids, repeats included, and so
+    path_counts returns the orbit masses: the sums of the path counts
+    over each orbit.
     """
 
     def __init__(
         self, n: int, steps: int, variant: str, r: int | None = None,
-        max_states: int | None = None, rows: bool = True,
+        max_states: int | None = None, rows: bool = True, quotient: bool = False,
     ):
         if n < 1:
             raise ValueError("n must be >= 1")
         budget = BALL_STATE_BUDGET if max_states is None else max_states
-        letters, merge = _letters(n, variant, r)
+        letters, merge, flip = _letters(n, variant, r)
         push = core._drop_push
+        canonical = _canonical
         start = ((),) * n
         states = [start]
         ids = {start: 0}
@@ -120,6 +189,8 @@ class _Interned:
                 row = []
                 for i, label in letters:
                     t = push(state, i, label, merge)
+                    if quotient:
+                        t = canonical(t, i, flip)
                     tid = ids.get(t)
                     if tid is None:
                         if len(states) >= budget:
@@ -137,12 +208,13 @@ class _Interned:
             frontier = nxt
         if rows:
             succ.extend(() for _ in frontier)
-            assert len(succ) == len(states)
         self.steps = steps
         self.base = len(letters)
         self.states = states
+        self.ids = ids
         self.depth_of = depth_of
         self.succ = succ if rows else None
+        self.sizes = [_orbit_size(s, flip) for s in states] if quotient else None
 
     def path_counts(self) -> list[list[int]]:
         """counts[t][sid] = number of length-t letter paths ending at sid."""
@@ -159,8 +231,9 @@ class _Interned:
 
     def check_roof_recursion(self, per_step) -> None:
         """
-        Semigroup only: a length-t path ends at w iff its last push laid
-        the top cell of some roof column, so the path counts must obey
+        Semigroup only, full table: a length-t path ends at w iff its
+        last push laid the top cell of some roof column, so the path
+        counts must obey
 
             counts[t][w] = sum over roof columns i of counts[t-1][w - top_i].
 
@@ -172,7 +245,7 @@ class _Interned:
         for t, row in enumerate(per_step):
             if any(row[: bisect_left(depth_of, t)]) or any(row[bisect_right(depth_of, t):]):
                 raise AssertionError(f"path counts at step {t} off states of length {t}")
-        ids = {cols: sid for sid, cols in enumerate(self.states)}
+        ids = self.ids
         for sid, cols in enumerate(self.states[1:], 1):
             t = depth_of[sid]
             expected = sum(
@@ -195,10 +268,7 @@ def enumerate_ball(
     `radius`, counted by exact length (= BFS depth, since every push
     changes the minimal spelling by at most one letter).
     """
-    _check_variant(variant, r)
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    table = _Interned(n, radius, variant, r, max_states, rows=False)
+    table = _ball(n, radius, variant, r, max_states, quotient=False)
     return BallCensus(
         n, variant, r, radius,
         dict(Counter(table.depth_of)),
@@ -206,11 +276,39 @@ def enumerate_ball(
     )
 
 
+def ball_counts(
+    n: int,
+    radius: int,
+    variant: str,
+    r: int | None = None,
+    max_states: int = BALL_STATE_BUDGET,
+) -> dict[int, int]:
+    """
+    The counts of enumerate_ball alone, length -> number of elements,
+    from the quotient explorer: the orbit sizes summed by depth.
+    max_states bounds the orbits stored.
+    """
+    table = _ball(n, radius, variant, r, max_states, quotient=True)
+    counts: dict[int, int] = {}
+    for depth, size in zip(table.depth_of, table.sizes):
+        counts[depth] = counts.get(depth, 0) + size
+    return counts
+
+
+def _ball(n, radius, variant, r, max_states, quotient) -> _Interned:
+    _check_variant(variant, r)
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    return _Interned(n, radius, variant, r, max_states, rows=False, quotient=quotient)
+
+
 # ---------------------------------------------------------------------------
 # Exact walk distributions
 
 
-def _interned(n: int, steps: int, mode: str, max_states: int | None) -> _Interned:
+def _interned(
+    n: int, steps: int, mode: str, max_states: int | None, quotient: bool
+) -> _Interned:
     if steps < 1:
         raise ValueError("N must be >= 1")
     if mode not in (GROUP, SEMIGROUP):
@@ -221,7 +319,7 @@ def _interned(n: int, steps: int, mode: str, max_states: int | None) -> _Interne
             f"exact {mode} distribution capped at n <= {n_cap}, N <= {steps_cap} "
             "by default; pass max_states to raise the budget"
         )
-    return _Interned(n, steps, mode, max_states=max_states)
+    return _Interned(n, steps, mode, max_states=max_states, quotient=quotient)
 
 
 def exact_distribution(
@@ -235,17 +333,19 @@ def exact_distribution(
     additionally checked against the roof recursion on every state
     before probabilities are formed.
     """
-    table = _interned(n, N, mode, max_states)
+    table = _interned(n, N, mode, max_states, quotient=False)
     per_step = table.path_counts()
     if mode == SEMIGROUP:
         table.check_roof_recursion(per_step)
+    table.ids = None  # free the state map before the Fractions are built
     denom = table.base**N
+    if sum(per_step[N]) != denom:
+        raise AssertionError(f"path counts at step {N} do not sum to {denom}")
     probs = {
         table.states[sid]: Fraction(c, denom)
         for sid, c in enumerate(per_step[N])
         if c
     }
-    assert sum(probs.values()) == 1
     return ExactDistribution(n, mode, N, probs)
 
 
@@ -260,8 +360,10 @@ def exact_drift_series(
     """
     [E[K(w_1)]/1, ..., E[K(w_N)]/N] from a single dynamic program; the
     group sequence starts at 1 and decreases toward the limit drift.
+    The program runs over orbits: every state of an orbit has the same
+    length, so E[K(w_t)] is the sum of orbit mass times length.
     """
-    table = _interned(n, N, mode, max_states)
+    table = _interned(n, N, mode, max_states, quotient=True)
     per_step = table.path_counts()
     out = []
     for t in range(1, N + 1):
@@ -276,15 +378,20 @@ def exact_entropy(n: int, N: int, mode: str = GROUP, max_states: int | None = No
 
     Path counts are exact integers; only the final logarithms are
     floating point: H = log D - (1/D) sum_w c_w log c_w with D the
-    total path count.
+    total path count. Over orbits, each of the |O| states of orbit O
+    carries c = C(O)/|O| of its mass C(O), so the sum is
+    sum_O C(O) log(C(O)/|O|).
     """
-    table = _interned(n, N, mode, max_states)
+    table = _interned(n, N, mode, max_states, quotient=True)
     final = table.path_counts()[N]
     denom = table.base**N
     acc = 0.0
-    for c in final:
+    for mass, size in zip(final, table.sizes):
+        c, rest = divmod(mass, size)
+        if rest:
+            raise AssertionError(f"orbit mass {mass} is not a multiple of its size {size}")
         if c > 1:
-            acc += c * math.log(c)
+            acc += mass * math.log(c)
     return (math.log(denom) - acc / denom) / N
 
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 import warnings
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -113,9 +113,10 @@ class WalkParams:
         if not 0 <= self.burn_in < self.steps:
             raise ValueError("need 0 <= burn_in < steps")
         snaps = self.steps // self.snapshot_every if self.snapshot_every else 0
-        # each trial keeps n + 1 histogram bins, 2 n integers per snapshot
-        # and a record of about 400 B, counted as 64 integers
-        _check_budget(self.steps, self.trials * (self.n * (2 * snaps + 1) + 64))
+        # each trial keeps n + 1 histogram bins and a record of about
+        # 400 B, counted as 64 integers; run_walk keeps trial 0's
+        # snapshots only, 2 n integers each
+        _check_budget(self.steps, self.trials * (self.n + 64) + 2 * self.n * snaps)
 
 
 @dataclass(frozen=True)
@@ -413,9 +414,11 @@ def run_walk(params: WalkParams) -> tuple[dict, list[WalkStats]]:
     n, steps, trials, seed, drift_mean, drift_se, roof_density,
     entropy_estimate, alpha_hat, alpha_se, height_coeff, heap_density.
     Inapplicable entries (alpha in semigroup mode, deposit geometry in
-    group mode) are None.
+    group mode) are None. Only trial 0 records snapshots; the other
+    trials' snapshots are empty.
     """
-    runs = [run_trial(params, t) for t in range(params.trials)]
+    unsnapped = replace(params, snapshot_every=0)
+    runs = [run_trial(params if t == 0 else unsnapped, t) for t in range(params.trials)]
     drift_mean, drift_se = drift_estimate(runs)
     report = {
         "mode": params.mode,

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from locfree import cli, counting, walk
+from locfree import cli, counting, oracle, walk
 from locfree.cli import run_command
 
 REPORT_KEYS = [
@@ -116,6 +116,22 @@ def test_volume_csv_k_column_starts_at_two(capsys):
     assert ks == [2, 3, 4]
     for line in lines[2:]:
         assert math.isclose(float(line.split(",")[3]), math.log(2.0), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("variant", [["projective"], ["restricted", "--r", "2"]])
+def test_volume_of_a_finite_variant_exits_2(capsys, variant):
+    # at n = 1 both variants are finite: V(1, K) vanishes for K >= 2
+    code, out, err = run(capsys, "volume", "--variant", *variant, "--n", "1", "--k-max", "3")
+    assert code == 2
+    assert out == ""
+    assert f"error: volume is undefined for the {variant[0]} variant at n=1" in err
+
+
+def test_volume_n1_group_and_semigroup_still_report(capsys):
+    for variant in ("group", "semigroup"):
+        code, out, _ = run(capsys, "volume", "--format", "json", "--variant", variant, "--n", "1", "--k-max", "3")
+        assert code == 0
+        assert json.loads(out)["finite_n_limit"] == 0.0
 
 
 def test_spectrum_json_n3(capsys):
@@ -290,6 +306,22 @@ def test_oracle_verify_flags_mismatch(capsys, monkeypatch):
     code, out, err = run(capsys, "oracle-verify", "--n-max", "1", "--k-max", "2")
     assert code == 1
     assert "MISMATCH group n=1 K=1" in err
+    assert "all comparisons passed" not in out
+
+
+def test_oracle_verify_flags_census_mismatch(capsys, monkeypatch):
+    real = oracle.ball_counts
+
+    def poisoned(n, radius, variant, r=None, max_states=oracle.BALL_STATE_BUDGET):
+        counts = real(n, radius, variant, r, max_states)
+        if (variant, n) == ("semigroup", 2):
+            counts[3] += 1
+        return counts
+
+    monkeypatch.setattr(oracle, "ball_counts", poisoned)
+    code, out, err = run(capsys, "oracle-verify", "--n-max", "2", "--k-max", "4")
+    assert code == 1
+    assert err.splitlines() == ["MISMATCH semigroup n=2 K=3: enumerated 9, formula 8"]
     assert "all comparisons passed" not in out
 
 

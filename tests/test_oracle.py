@@ -75,6 +75,100 @@ def test_ball_budget():
         oracle.enumerate_ball(3, 3, GROUP, max_states=10)
 
 
+QUOTIENT_VARIANTS = [
+    (GROUP, None),
+    (SEMIGROUP, None),
+    ("projective", None),
+    *(("restricted", r) for r in (2, 3, 4, 5, 6)),
+]
+
+
+@pytest.mark.parametrize("variant,r", QUOTIENT_VARIANTS)
+def test_ball_counts_match_full_census(variant, r):
+    radius = 5 if r is None else 4
+    for n in (1, 2, 3, 4):
+        full = oracle.enumerate_ball(n, radius, variant, r)
+        assert oracle.ball_counts(n, radius, variant, r) == full.counts, (n, variant, r)
+
+
+def _orbit(state, flip):
+    """Every image of a state under the column flips and the reflection."""
+    images = set()
+    for mirror in (state, state[::-1]):
+        choices = [
+            {col, tuple((level, flip[c]) for level, c in col)} if flip else {col}
+            for col in mirror
+        ]
+        images.update(itertools.product(*choices))
+    return images
+
+
+@pytest.mark.parametrize("variant,r", QUOTIENT_VARIANTS)
+def test_orbit_representatives_and_sizes(variant, r):
+    # the representative is the smallest state of its orbit, the stored
+    # size is the orbit's (a column of class r/2 cells at even r is its
+    # own flip), and the orbits tile the full ball
+    flip = oracle._letters(1, variant, r)[2]
+    for n in (1, 2, 3):
+        table = oracle._Interned(n, 4, variant, r, rows=False, quotient=True)
+        full = oracle.enumerate_ball(n, 4, variant, r).elements
+        covered = set()
+        for rep, size in zip(table.states, table.sizes):
+            orbit = _orbit(rep, flip)
+            assert rep == min(orbit) and size == len(orbit), (n, rep)
+            covered |= orbit
+        assert covered == set(full) and sum(table.sizes) == len(full)
+
+
+@pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
+def test_orbit_mass_is_a_multiple_of_orbit_size(mode):
+    for n in (1, 2, 3, 4):
+        table = oracle._Interned(n, 5, mode, quotient=True)
+        for masses in table.path_counts():
+            assert all(c % size == 0 for c, size in zip(masses, table.sizes)), n
+
+
+@pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
+def test_quotient_drift_and_entropy_equal_full_table(mode):
+    # the reference reads the per-state distributions of the full table
+    budget = 100_000
+    for n, steps in ((1, 5), (2, 6), (3, 5), (4, 4)):
+        series = oracle.exact_drift_series(n, steps, mode, budget)
+        for t in range(1, steps + 1):
+            probs = oracle.exact_distribution(n, t, mode, budget).probabilities
+            length = sum(p * sum(map(len, cols)) for cols, p in probs.items())
+            assert series[t - 1] == length / t, (n, t)
+        acc = sum(float(p) * math.log(p) for p in probs.values())
+        entropy = oracle.exact_entropy(n, steps, mode, budget)
+        assert entropy == pytest.approx(-acc / steps, abs=1e-12), (n, steps)
+
+
+def test_entropy_rejects_an_orbit_mass_off_its_size(monkeypatch):
+    monkeypatch.setattr(oracle, "_orbit_size", lambda state, flip: 3)
+    with pytest.raises(AssertionError, match="not a multiple of its size 3"):
+        oracle.exact_entropy(2, 3, GROUP)
+
+
+def test_distribution_checks_its_normalisation(monkeypatch):
+    real = oracle._Interned.path_counts
+
+    def leaky(self):
+        per_step = real(self)
+        per_step[-1][-1] += 1
+        return per_step
+
+    monkeypatch.setattr(oracle._Interned, "path_counts", leaky)
+    with pytest.raises(AssertionError, match="do not sum to 64"):
+        oracle.exact_distribution(2, 3, GROUP)
+
+
+def test_quotient_budget_counts_orbits():
+    # 1 + 4 + 12 + 36 states, but 1 + 1 + 2 + 5 orbits of (Z/2)^2 x Z/2
+    assert sum(oracle.ball_counts(2, 3, GROUP, max_states=9).values()) == 53
+    with pytest.raises(oracle.BudgetExceeded):
+        oracle.ball_counts(2, 3, GROUP, max_states=8)
+
+
 def test_distribution_two_steps():
     dist = oracle.exact_distribution(2, 2, GROUP)
     key_id = core.empty_heap(2).columns

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -273,6 +274,22 @@ def test_heap_profile_rejects_group():
     p = WalkParams(n=3, steps=100, trials=1, seed=0, mode=GROUP)
     with pytest.raises(ValueError):
         walk.heap_profile_stats(walk.run_trial(p, 0))
+
+
+def test_run_walk_snapshots_trial_zero_only():
+    p = WalkParams(n=6, steps=900, trials=3, seed=2, mode=GROUP, snapshot_every=300)
+    _, runs = walk.run_walk(p)
+    assert runs[0] == walk.run_trial(p, 0)
+    unsnapped = replace(p, snapshot_every=0)
+    for t in (1, 2):
+        assert runs[t].snapshots == ()
+        assert runs[t] == walk.run_trial(unsnapped, t)
+
+
+def test_snapshot_budget_counts_one_trial():
+    # 2 n (steps // snapshot_every) = 8 M snapshot integers, once; per
+    # trial they would be 40 M
+    WalkParams(n=100, steps=40_000, trials=5, seed=0, mode=SEMIGROUP, snapshot_every=1)
 
 
 def test_snapshot_shape():
