@@ -100,7 +100,12 @@ class InequalityReport:
     grid_step: float
 
 
-def inequality_report(v: float, l: float, h: float, grid_step: float = 1e-3) -> InequalityReport:
+# inequality_report sweeps alpha = k * GRID_STEP / 2 over every integer k
+# with alpha strictly inside (-1/2, 1/2).
+GRID_STEP = 1e-3
+
+
+def inequality_report(v: float, l: float, h: float) -> InequalityReport:
     """
     The discrepancy eps = l v - h, together with a sweep of the closed
     form eps(a) over a grid on (-1/2, 1/2). The sweep must come out
@@ -115,7 +120,7 @@ def inequality_report(v: float, l: float, h: float, grid_step: float = 1e-3) -> 
     eps = l * v - h
     best = math.inf
     best_alpha = 0.0
-    steps = int(round(1.0 / grid_step))
+    steps = int(round(1.0 / GRID_STEP))
     for k in range(-steps + 1, steps):
         a = 0.5 * k / steps
         val = closed_form_epsilon(a)
@@ -126,7 +131,7 @@ def inequality_report(v: float, l: float, h: float, grid_step: float = 1e-3) -> 
         raise ArithmeticError("eps(alpha) sweep failed strict positivity")
     return InequalityReport(
         v=v, l=l, h=h, epsilon=eps,
-        grid_min_epsilon=best, grid_argmin_alpha=best_alpha, grid_step=grid_step,
+        grid_min_epsilon=best, grid_argmin_alpha=best_alpha, grid_step=GRID_STEP,
     )
 
 

@@ -102,12 +102,13 @@ class NormalWord:
 
 
 def succession_allowed(n: int, a: int, b: int) -> bool:
-    """May syllable index b directly follow index a in a normal form on n columns?"""
-    if a == 1:
-        return 2 <= b <= n
-    if a == n:
-        return b == n - 1
-    return b == a - 1 or a < b <= n
+    """
+    May syllable index b directly follow index a in a normal form on n
+    columns? The three cases of the module docstring in one rule: b is
+    a - 1 or lies above a (after 1 nothing lies below, after n nothing
+    above).
+    """
+    return 1 <= a <= n and 1 <= b <= n and (b == a - 1 or b > a)
 
 
 def validate_normal_word(word: NormalWord) -> None:
@@ -196,6 +197,27 @@ def _cancel(top: int, sign: int) -> int | None:
     return 0 if top == -sign else None
 
 
+def _push_all(heap: ColoredHeap, letters) -> ColoredHeap:
+    """
+    Left fold of _drop_push over raw columns, checking each letter, with
+    one ColoredHeap built at the end. Letters are Letter values or bare
+    (index, sign) pairs.
+    """
+    n, mode = heap.n, heap.mode
+    merge = _cancel if mode == GROUP else None
+    columns = heap.columns
+    for item in letters:
+        i, s = (item.index, item.sign) if isinstance(item, Letter) else (item[0], item[1])
+        if not 1 <= i <= n:
+            raise ValueError(f"letter index {i} out of range 1..{n}")
+        if s not in (1, -1):
+            raise ValueError("letter sign must be +1 or -1")
+        if mode == SEMIGROUP and s != 1:
+            raise ValueError("semigroup heaps accept only positive letters")
+        columns = _drop_push(columns, i, s, merge)
+    return ColoredHeap(n, mode, columns)
+
+
 def push_letter(heap: ColoredHeap, letter: Letter) -> ColoredHeap:
     """
     Heap of w * f_i^s given the heap of w.
@@ -205,31 +227,19 @@ def push_letter(heap: ColoredHeap, letter: Letter) -> ColoredHeap:
     semigroup mode always stacks. The cell count changes by exactly +1
     or -1.
     """
-    i, s = letter.index, letter.sign
-    if not 1 <= i <= heap.n:
-        raise ValueError(f"letter index {i} out of range 1..{heap.n}")
-    if s not in (1, -1):
-        raise ValueError("letter sign must be +1 or -1")
-    if heap.mode == SEMIGROUP and s != 1:
-        raise ValueError("semigroup heaps accept only positive letters")
-    merge = _cancel if heap.mode == GROUP else None
-    return ColoredHeap(heap.n, heap.mode, _drop_push(heap.columns, i, s, merge))
+    return _push_all(heap, (letter,))
 
 
 def heap_from_word(letters, n: int, mode: str = GROUP) -> ColoredHeap:
     """
-    Left fold of push_letter over a letter sequence.
+    The heap of a letter sequence: one fold of _drop_push from the empty
+    heap, checking each letter as push_letter does.
 
     Accepts Letter values or bare (index, sign) pairs. The result is
     invariant under swapping adjacent input letters whose indices
     differ by 2 or more.
     """
-    heap = empty_heap(n, mode)
-    for item in letters:
-        if not isinstance(item, Letter):
-            item = Letter(item[0], item[1])
-        heap = push_letter(heap, item)
-    return heap
+    return _push_all(empty_heap(n, mode), letters)
 
 
 def _roof_marks(columns: Columns) -> tuple[int, ...]:
@@ -267,9 +277,6 @@ class RoofSet:
     def columns(self) -> tuple[int, ...]:
         """1-based marked column indices, ascending."""
         return tuple(i + 1 for i, m in enumerate(self.marks) if m)
-
-    def __contains__(self, column: int) -> bool:
-        return 1 <= column <= self.n and self.marks[column - 1] != 0
 
 
 def normal_form_readout(heap: ColoredHeap) -> NormalWord:

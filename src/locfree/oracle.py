@@ -15,67 +15,48 @@ way the state is the normal form, so the tuple itself is the key and
 key equality is element equality.
 
 One breadth-first explorer interns every state within a number of
-pushes. Cayley-ball censuses count its states by depth; exact walk
-distributions come from dynamic programming with integer path counts
-over the same table, with transition rows kept. Agreement between these
-enumerations and the transfer-matrix counts is the central correctness
-gate of the package.
+pushes, one table entry per symmetry orbit. The automorphism
+f_i -> f_i^{-1} of one column (group and restricted variants; it maps
+the restricted class e to -e mod r) and the reflection i -> n+1-i (all
+variants) permute the letters of the uniform walk, so lengths and path
+counts are constant on their orbits. The representative is the smallest
+state of its orbit (_canonical), and _orbit_size gives the orbit's size.
 
-The explorer can also run over orbits. The automorphism f_i -> f_i^{-1}
-of one column (group and restricted variants; it maps the restricted
-class e to -e mod r) and the reflection i -> n+1-i (all variants)
-permute the letters of the uniform walk, so lengths and path counts are
-constant on their orbits. In quotient mode the explorer interns one
-representative per orbit: every column replaced by the smaller of itself
-and its label-flipped copy, then the smaller of that tuple and its
-reflection. The orbit size is 2^(columns that their flip changes), times
-2 unless the reflection lands in the same flip orbit; a column of class
-r/2 cells only (even r) is its own flip. ball_counts sums orbit sizes by
-depth; exact_drift_series reads the orbit masses, and exact_entropy the
-per-state count mass/size of each orbit. enumerate_ball and
-exact_distribution keep one entry per state, since callers index them.
+Cayley-ball counts (ball_counts) sum orbit sizes by depth. The exact
+walk statistics come from dynamic programming with integer path counts
+over the same table, with transition rows kept: exact_drift_series reads
+the orbit masses, exact_entropy the per-state count mass/size of each
+orbit, and exact_distribution gives that count to every state of the
+orbit, expanded by _orbit. Agreement between these enumerations and the
+transfer-matrix counts is the central correctness gate of the package.
 
-Budgets are deliberately conservative and explicit, and count the
-entries stored: states, or orbits in quotient mode. Callers may raise
-them (the acceptance suite does, for the n=2 group at N=12, whose ball
-holds about 1.06 million states in 132,867 orbits), but exceeding a
-budget is an error, never a silent truncation.
+Budgets are deliberately conservative and explicit. max_states bounds
+the orbits stored, and exact_distribution also bounds the states it
+returns by it. Callers may raise them (the acceptance suite does, for
+the n=2 group at N=12, whose ball holds about 1.06 million states in
+132,867 orbits), but exceeding a budget is an error, never a silent
+truncation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from locfree import core
 from locfree.core import GROUP, SEMIGROUP
-from locfree.counting import PROJECTIVE, RESTRICTED, VARIANTS, _check_variant
+from locfree.counting import PROJECTIVE, _check_variant
 
-# Default enumeration budgets (states); see module docstring.
+# Default enumeration budgets (orbits); see module docstring.
 BALL_STATE_BUDGET = 2_000_000
 DEFAULT_DISTRIBUTION_LIMITS = {GROUP: (3, 8), SEMIGROUP: (4, 10)}
 
 
 class BudgetExceeded(RuntimeError):
     """An enumeration outgrew its configured state budget."""
-
-
-@dataclass(frozen=True)
-class BallCensus:
-    """Exact census of the radius-`radius` ball around the identity."""
-
-    n: int
-    variant: str
-    r: int | None
-    radius: int
-    counts: dict[int, int]  # length -> number of elements
-    elements: dict[core.Columns, int]  # state columns tuple -> length
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 @dataclass(frozen=True)
@@ -108,6 +89,10 @@ def _letters(n: int, variant: str, r: int | None):
     return [(i, label) for i in range(1, n + 1) for label in labels], merge, flip
 
 
+def _flipped(col, flip):
+    return tuple((level, flip[c]) for level, c in col)
+
+
 def _canonical(state, i: int, flip):
     """
     The orbit representative of a state whose columns other than column
@@ -125,8 +110,7 @@ def _canonical(state, i: int, flip):
             inverse = flip[label]
             if inverse != label:
                 if inverse < label:
-                    col = tuple((level, flip[c]) for level, c in col)
-                    state = state[: i - 1] + (col,) + state[i:]
+                    state = state[: i - 1] + (_flipped(col, flip),) + state[i:]
                 break
     mirror = state[::-1]
     return mirror if mirror < state else state
@@ -144,31 +128,44 @@ def _orbit_size(state, flip) -> int:
     return 2**moved * (1 if state[::-1] == state else 2)
 
 
+def _orbit(rep, flip) -> set:
+    """Every state of the orbit of rep: each column or its flip, then the reflection."""
+    choices = [{col, _flipped(col, flip)} if flip else (col,) for col in rep]
+    states = set(itertools.product(*choices))
+    return states | {state[::-1] for state in states}
+
+
+def _per_state(mass: int, size: int) -> int:
+    """The path count of each state of an orbit, from the orbit's mass and size."""
+    c, rest = divmod(mass, size)
+    if rest:
+        raise AssertionError(f"orbit mass {mass} is not a multiple of its size {size}")
+    return c
+
+
 class _Interned:
     """
-    Every state within `steps` pushes of the identity, breadth first.
+    Every orbit within `steps` pushes of the identity, breadth first,
+    one representative each.
 
-    states[sid] is the columns tuple, depth_of[sid] the push count that
-    first reached it, which is its reduced length: every push changes
-    the length by at most one. ids maps each state back to its id.
-    succ[sid] lists the successor ids in letter order (states first
-    reached at full depth are not stepped from); rows=False keeps none
-    and leaves succ None, for callers that read only the depths.
-    max_states=None means BALL_STATE_BUDGET; it bounds the stored
-    entries.
-
-    quotient=True stores one representative per orbit of the letter
-    permutations f_i -> f_i^{-1} (group and restricted) and i -> n+1-i
-    (all variants), and sizes[sid] is the orbit's size (None otherwise).
-    Path counts are constant on orbits, succ keeps the representative's
-    successors as representative ids, repeats included, and so
-    path_counts returns the orbit masses: the sums of the path counts
-    over each orbit.
+    states[sid] is the representative's columns tuple, sizes[sid] the
+    orbit's size, and depth_of[sid] the push count that first reached
+    it, which is the reduced length of every state of the orbit: every
+    push changes the length by at most one. ids maps each
+    representative back to its id, and flip is the variant's label flip
+    (see _letters). succ[sid] lists the representative's successors as
+    representative ids, in letter order and repeats included (orbits
+    first reached at full depth are not stepped from); rows=False keeps
+    none and leaves succ None, for callers that read only the depths.
+    Path counts are constant on orbits, so path_counts returns the orbit
+    masses: the sums of the path counts over each orbit.
+    max_states=None means BALL_STATE_BUDGET; it bounds the orbits
+    stored.
     """
 
     def __init__(
         self, n: int, steps: int, variant: str, r: int | None = None,
-        max_states: int | None = None, rows: bool = True, quotient: bool = False,
+        max_states: int | None = None, rows: bool = True,
     ):
         if n < 1:
             raise ValueError("n must be >= 1")
@@ -188,9 +185,7 @@ class _Interned:
                 state = states[sid]
                 row = []
                 for i, label in letters:
-                    t = push(state, i, label, merge)
-                    if quotient:
-                        t = canonical(t, i, flip)
+                    t = canonical(push(state, i, label, merge), i, flip)
                     tid = ids.get(t)
                     if tid is None:
                         if len(states) >= budget:
@@ -210,14 +205,15 @@ class _Interned:
             succ.extend(() for _ in frontier)
         self.steps = steps
         self.base = len(letters)
+        self.flip = flip
         self.states = states
         self.ids = ids
         self.depth_of = depth_of
         self.succ = succ if rows else None
-        self.sizes = [_orbit_size(s, flip) for s in states] if quotient else None
+        self.sizes = [_orbit_size(s, flip) for s in states]
 
     def path_counts(self) -> list[list[int]]:
-        """counts[t][sid] = number of length-t letter paths ending at sid."""
+        """counts[t][sid] = number of length-t letter paths ending in orbit sid."""
         per_step = [[0] * len(self.states) for _ in range(self.steps + 1)]
         per_step[0][0] = 1
         for t in range(self.steps):
@@ -231,49 +227,32 @@ class _Interned:
 
     def check_roof_recursion(self, per_step) -> None:
         """
-        Semigroup only, full table: a length-t path ends at w iff its
-        last push laid the top cell of some roof column, so the path
-        counts must obey
+        Semigroup only: a length-t path ends at w iff its last push laid
+        the top cell of some roof column, so the per-state path counts
+        c = mass/size must obey
 
-            counts[t][w] = sum over roof columns i of counts[t-1][w - top_i].
+            c[t](w) = sum over roof columns i of c[t-1](w - top_i),
 
-        Each push adds a cell, so counts[t][w] must be 0 unless t is w's
-        depth, where the recursion is checked; as every w - top_i is one
-        shallower than w, the two checks imply the recursion at every t.
+        checked at every representative w, with each w - top_i looked up
+        through its own representative. Each push adds a cell, so the
+        counts must be 0 unless t is w's depth, where the recursion is
+        checked; as every w - top_i is one shallower than w, the two
+        checks imply the recursion at every t. A mass that its orbit
+        size does not divide fails the check too.
         """
         depth_of = self.depth_of  # nondecreasing: ids follow BFS order
         for t, row in enumerate(per_step):
             if any(row[: bisect_left(depth_of, t)]) or any(row[bisect_right(depth_of, t):]):
                 raise AssertionError(f"path counts at step {t} off states of length {t}")
-        ids = self.ids
+        ids, flip, sizes = self.ids, self.flip, self.sizes
+        counts = [_per_state(per_step[t][sid], sizes[sid]) for sid, t in enumerate(depth_of)]
         for sid, cols in enumerate(self.states[1:], 1):
-            t = depth_of[sid]
             expected = sum(
-                per_step[t - 1][ids[cols[:i] + (cols[i][:-1],) + cols[i + 1:]]]
+                counts[ids[_canonical(cols[:i] + (cols[i][:-1],) + cols[i + 1:], i + 1, flip)]]
                 for i, mark in enumerate(core._roof_marks(cols)) if mark
             )
-            if per_step[t][sid] != expected:
-                raise AssertionError(f"roof recursion fails at state {sid}, step {t}")
-
-
-def enumerate_ball(
-    n: int,
-    radius: int,
-    variant: str,
-    r: int | None = None,
-    max_states: int = BALL_STATE_BUDGET,
-) -> BallCensus:
-    """
-    Breadth-first enumeration of all elements of reduced length up to
-    `radius`, counted by exact length (= BFS depth, since every push
-    changes the minimal spelling by at most one letter).
-    """
-    table = _ball(n, radius, variant, r, max_states, quotient=False)
-    return BallCensus(
-        n, variant, r, radius,
-        dict(Counter(table.depth_of)),
-        dict(zip(table.states, table.depth_of)),
-    )
+            if counts[sid] != expected:
+                raise AssertionError(f"roof recursion fails at state {sid}, step {depth_of[sid]}")
 
 
 def ball_counts(
@@ -284,31 +263,26 @@ def ball_counts(
     max_states: int = BALL_STATE_BUDGET,
 ) -> dict[int, int]:
     """
-    The counts of enumerate_ball alone, length -> number of elements,
-    from the quotient explorer: the orbit sizes summed by depth.
-    max_states bounds the orbits stored.
+    length -> number of elements of that reduced length, for every
+    length up to `radius`: the orbit sizes summed by depth (= reduced
+    length, since every push changes the minimal spelling by at most
+    one letter). max_states bounds the orbits stored.
     """
-    table = _ball(n, radius, variant, r, max_states, quotient=True)
+    _check_variant(variant, r)
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    table = _Interned(n, radius, variant, r, max_states, rows=False)
     counts: dict[int, int] = {}
     for depth, size in zip(table.depth_of, table.sizes):
         counts[depth] = counts.get(depth, 0) + size
     return counts
 
 
-def _ball(n, radius, variant, r, max_states, quotient) -> _Interned:
-    _check_variant(variant, r)
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    return _Interned(n, radius, variant, r, max_states, rows=False, quotient=quotient)
-
-
 # ---------------------------------------------------------------------------
 # Exact walk distributions
 
 
-def _interned(
-    n: int, steps: int, mode: str, max_states: int | None, quotient: bool
-) -> _Interned:
+def _interned(n: int, steps: int, mode: str, max_states: int | None) -> _Interned:
     if steps < 1:
         raise ValueError("N must be >= 1")
     if mode not in (GROUP, SEMIGROUP):
@@ -319,7 +293,7 @@ def _interned(
             f"exact {mode} distribution capped at n <= {n_cap}, N <= {steps_cap} "
             "by default; pass max_states to raise the budget"
         )
-    return _Interned(n, steps, mode, max_states=max_states, quotient=quotient)
+    return _Interned(n, steps, mode, max_states=max_states)
 
 
 def exact_distribution(
@@ -329,23 +303,30 @@ def exact_distribution(
     The exact distribution after N uniform letter pushes: path counts
     over (2n)^N equally likely letter sequences (n^N in semigroup mode),
     as Fractions keyed by the state's columns tuple (the columns of
-    core.heap_from_word). In semigroup mode the path counts are
-    additionally checked against the roof recursion on every state
-    before probabilities are formed.
+    core.heap_from_word). The program runs over orbits; each state of
+    orbit O gets C(O)/|O| of the orbit mass C(O). max_states bounds both
+    the orbits stored and the states returned. In semigroup mode the
+    path counts are additionally checked against the roof recursion on
+    every orbit before probabilities are formed.
     """
-    table = _interned(n, N, mode, max_states, quotient=False)
+    table = _interned(n, N, mode, max_states)
     per_step = table.path_counts()
     if mode == SEMIGROUP:
         table.check_roof_recursion(per_step)
     table.ids = None  # free the state map before the Fractions are built
     denom = table.base**N
-    if sum(per_step[N]) != denom:
+    final = per_step[N]
+    if sum(final) != denom:
         raise AssertionError(f"path counts at step {N} do not sum to {denom}")
-    probs = {
-        table.states[sid]: Fraction(c, denom)
-        for sid, c in enumerate(per_step[N])
-        if c
-    }
+    budget = BALL_STATE_BUDGET if max_states is None else max_states
+    support = sum(size for mass, size in zip(final, table.sizes) if mass)
+    if support > budget:
+        raise BudgetExceeded(f"{mode} distribution support of {support} states exceeds {budget}")
+    probs = {}
+    for rep, mass, size in zip(table.states, final, table.sizes):
+        if mass:
+            p = Fraction(_per_state(mass, size), denom)
+            probs.update(dict.fromkeys(_orbit(rep, table.flip), p))
     return ExactDistribution(n, mode, N, probs)
 
 
@@ -363,7 +344,7 @@ def exact_drift_series(
     The program runs over orbits: every state of an orbit has the same
     length, so E[K(w_t)] is the sum of orbit mass times length.
     """
-    table = _interned(n, N, mode, max_states, quotient=True)
+    table = _interned(n, N, mode, max_states)
     per_step = table.path_counts()
     out = []
     for t in range(1, N + 1):
@@ -382,14 +363,12 @@ def exact_entropy(n: int, N: int, mode: str = GROUP, max_states: int | None = No
     carries c = C(O)/|O| of its mass C(O), so the sum is
     sum_O C(O) log(C(O)/|O|).
     """
-    table = _interned(n, N, mode, max_states, quotient=True)
+    table = _interned(n, N, mode, max_states)
     final = table.path_counts()[N]
     denom = table.base**N
     acc = 0.0
     for mass, size in zip(final, table.sizes):
-        c, rest = divmod(mass, size)
-        if rest:
-            raise AssertionError(f"orbit mass {mass} is not a multiple of its size {size}")
+        c = _per_state(mass, size)
         if c > 1:
             acc += mass * math.log(c)
     return (math.log(denom) - acc / denom) / N

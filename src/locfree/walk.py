@@ -481,6 +481,15 @@ def roof_chain_run(
     clears the mark. boundary "periodic" joins columns n and 1; the
     open chain is what heap dynamics induce, the periodic one is the
     translation-invariant variant whose ones-density is exactly 1/3.
+
+    The open semigroup chain is exactly the semigroup walk's roof. A
+    push lands one level above the highest top of its neighbourhood, so
+    its column becomes strictly highest there, and no other column
+    changes: the column joins (or stays in) the roof, its neighbours
+    leave it, and every other mark stays. The chain reads the letters of
+    the walk's trial 0, so with the same seed and burn-in ones_density
+    equals roof_density_estimate of that trial bit for bit, and final
+    its last snapshot's roof.
     """
     if n < 1 or steps < 1:
         raise ValueError("need n >= 1 and steps >= 1")

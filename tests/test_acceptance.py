@@ -4,7 +4,9 @@ End-to-end acceptance gates, one test per criterion.
 Each test prints a single `criterion N: PASS/FAIL (...)` verdict line
 (run with -s to see them on success; pytest shows them on failure
 anyway) and then asserts. Criteria 5-7 share two cached million-step
-walk runs. Criterion 8 checks the exact rank-2 dynamic-program values
+walk runs. Criterion 5 also prints the exact finite-n targets of the
+semigroup roof from the independent permutation peak law in `rooflaw`,
+beside its unchanged bands. Criterion 8 checks the exact rank-2 dynamic-program values
 against the independent F_2 length chain in `freechain` (the drift
 series as exact Fractions, the entropy to 1e-12) and against the finite-N
 drift bound 1/2 < d(N) <= 1/2 + 3/(4N); the paper's limit bands for the
@@ -26,6 +28,7 @@ from locfree.walk import WalkParams
 
 import densematrix
 import freechain
+import rooflaw
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -115,11 +118,15 @@ def test_criterion_5_semigroup_walk():
         and entropy_dev <= 0.02
         and elapsed < 60
     )
+    # the exact finite-n targets, from the permutation peak law of the roof
+    density = rooflaw.roof_density(100)
     _verdict(
         5,
         ok,
         f"drift={report['drift_mean']}, density dev={density_dev:.4f}, "
-        f"entropy dev={entropy_dev:.4f}, t={elapsed:.1f}s",
+        f"entropy dev={entropy_dev:.4f}, t={elapsed:.1f}s; exact n=100 targets: "
+        f"density {density} = {float(density):.5f}, "
+        f"E log(n/|T|) = {rooflaw.log_roof_mean(100):.6f}",
     )
 
 

@@ -294,15 +294,15 @@ def test_oracle_verify_small_grid(capsys):
 
 
 def test_oracle_verify_flags_mismatch(capsys, monkeypatch):
-    real = counting.count_words
+    real = counting.count_words_range
 
-    def poisoned(n, K, variant, r=None):
-        value = real(n, K, variant, r=r)
-        if (variant, n, K) == ("group", 1, 1):
-            return value + 1
-        return value
+    def poisoned(n, k_max, variant, r=None):
+        values = real(n, k_max, variant, r=r)
+        if (variant, n) == ("group", 1):
+            values[0] += 1  # K = 1
+        return values
 
-    monkeypatch.setattr(counting, "count_words", poisoned)
+    monkeypatch.setattr(counting, "count_words_range", poisoned)
     code, out, err = run(capsys, "oracle-verify", "--n-max", "1", "--k-max", "2")
     assert code == 1
     assert "MISMATCH group n=1 K=1" in err

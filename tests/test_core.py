@@ -42,13 +42,19 @@ def test_push_no_cancel_under_cover():
 
 
 def test_push_rejects_bad_letters():
-    h = core.empty_heap(3)
-    with pytest.raises(ValueError):
-        core.push_letter(h, Letter(4))
-    with pytest.raises(ValueError):
-        core.push_letter(h, Letter(1, 0))
-    with pytest.raises(ValueError):
-        core.push_letter(core.empty_heap(3, SEMIGROUP), F1.inverse())
+    # the same messages from push_letter and from heap_from_word, for
+    # Letter values and bare pairs, anywhere in a word
+    for bad, mode, message in [
+        ((4, 1), GROUP, "letter index 4 out of range 1..3"),
+        ((0, 1), GROUP, "letter index 0 out of range 1..3"),
+        ((1, 0), GROUP, "letter sign must be"),
+        ((1, -1), SEMIGROUP, "semigroup heaps accept only positive letters"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            core.push_letter(core.empty_heap(3, mode), Letter(*bad))
+        for letter in (bad, Letter(*bad)):
+            with pytest.raises(ValueError, match=message):
+                core.heap_from_word([(2, 1), letter], 3, mode)
 
 
 def test_semigroup_never_cancels():
@@ -117,7 +123,7 @@ def test_roof_examples():
     assert r.columns() == (1, 3)
     r = core.roof_of(core.heap_from_word([F1, F2], 3))
     assert r.columns() == (2,)
-    assert 2 in r and 1 not in r
+    assert r.marks == (0, 1, 0)
 
 
 def test_roof_single_column():
@@ -153,6 +159,22 @@ def test_key_distinguishes():
 )
 def test_succession_table_n3(a, allowed):
     assert {b for b in range(1, 4) if core.succession_allowed(3, a, b)} == allowed
+
+
+def test_succession_rule_matches_three_cases():
+    def literal(n, a, b):
+        if a == 1:
+            return 2 <= b <= n
+        if a == n:
+            return b == n - 1
+        if 2 <= a <= n - 1:
+            return b == a - 1 or a < b <= n
+        return False  # a is no index on n columns
+
+    for n in range(1, 7):
+        for a in range(-1, n + 3):
+            for b in range(-1, n + 3):
+                assert core.succession_allowed(n, a, b) == literal(n, a, b), (n, a, b)
 
 
 def test_degenerate_n1():
@@ -249,7 +271,7 @@ def test_roof_is_where_inverses_shorten():
                 s for s in (1, -1)
                 if core.push_letter(h, Letter(i, s)).length == h.length - 1
             ]
-            if i in roof:
+            if roof.marks[i - 1]:
                 assert shrinkers == [-col[-1][1]]
                 stripped = core.ColoredHeap(
                     h.n, h.mode,

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,20 +20,66 @@ FREE_GROUP_DRIFT_6 = [
 ]
 
 
+def _brute_fold(word, n, variant, r):
+    """
+    The state of a letter word, folded here without the explorer: through
+    core.heap_from_word for group and semigroup, and through
+    core._drop_push with the merge rule written out below for the
+    projective (f_i^2 = f_i) and restricted (f_i^r = 1) variants.
+    """
+    if variant in (GROUP, SEMIGROUP):
+        return core.heap_from_word(word, n, variant).columns
+    if variant == "projective":
+        merge = lambda top, label: top  # noqa: E731
+    else:
+        merge = lambda top, label: (top + label) % r  # noqa: E731
+    state = ((),) * n
+    for i, label in word:
+        state = core._drop_push(state, i, label, merge)
+    return state
+
+
+def _brute_letters(n, variant, r):
+    if variant == GROUP:
+        labels = (1, -1)
+    elif variant == "restricted":
+        labels = (1 % r, -1 % r)
+    else:
+        labels = (1,)
+    return [(i, s) for i in range(1, n + 1) for s in labels]
+
+
+def _brute_census(n, radius, variant, r=None):
+    """state -> reduced length: the fewest letters of any word reaching it."""
+    letters = sorted(set(_brute_letters(n, variant, r)))
+    lengths = {}
+    for k in range(radius + 1):
+        for word in itertools.product(letters, repeat=k):
+            lengths.setdefault(_brute_fold(word, n, variant, r), k)
+    return lengths
+
+
+def _brute_distribution(n, steps, mode):
+    """Per-state probabilities after `steps` uniform letters, word by word."""
+    letters = _brute_letters(n, mode, None)
+    paths = Counter(
+        _brute_fold(word, n, mode, None) for word in itertools.product(letters, repeat=steps)
+    )
+    denom = len(letters) ** steps
+    return {state: Fraction(c, denom) for state, c in paths.items()}
+
+
 def test_ball_group_n3():
-    census = oracle.enumerate_ball(3, 4, GROUP)
-    assert census.counts == {0: 1, 1: 6, 2: 26, 3: 110, 4: 466}
-    assert census.total() == 1 + 6 + 26 + 110 + 466
-    assert len(census.elements) == census.total()
+    assert oracle.ball_counts(3, 4, GROUP) == {0: 1, 1: 6, 2: 26, 3: 110, 4: 466}
 
 
 def test_ball_free_group_and_semigroup():
-    g = oracle.enumerate_ball(2, 5, GROUP)
-    s = oracle.enumerate_ball(2, 6, SEMIGROUP)
+    g = oracle.ball_counts(2, 5, GROUP)
+    s = oracle.ball_counts(2, 6, SEMIGROUP)
     for k in range(1, 6):
-        assert g.counts[k] == 4 * 3 ** (k - 1)
+        assert g[k] == 4 * 3 ** (k - 1)
     for k in range(1, 7):
-        assert s.counts[k] == 2**k
+        assert s[k] == 2**k
 
 
 @pytest.mark.parametrize("variant,r", [
@@ -47,32 +94,40 @@ def test_ball_free_group_and_semigroup():
 def test_ball_matches_count_words(variant, r):
     # small corner of the criterion-1 grid; oracle-verify runs it in full
     for n in (1, 2, 3):
-        census = oracle.enumerate_ball(n, 4, variant, r)
+        counts = oracle.ball_counts(n, 4, variant, r)
         for k in range(1, 5):
             expected = counting.count_words(n, k, variant, r)
-            assert census.counts.get(k, 0) == expected, (variant, r, n, k)
+            assert counts.get(k, 0) == expected, (variant, r, n, k)
 
 
 def test_ball_restricted_large_order():
     # classes up to r - 1 = 299 must survive the state key
-    census = oracle.enumerate_ball(2, 3, counting.RESTRICTED, r=300)
-    counts = [census.counts[k] for k in range(1, 4)]
-    assert counts == counting.count_words_range(2, 3, counting.RESTRICTED, 300)
+    counts = oracle.ball_counts(2, 3, counting.RESTRICTED, r=300)
+    assert [counts[k] for k in range(1, 4)] == counting.count_words_range(
+        2, 3, counting.RESTRICTED, 300
+    )
 
 
 @pytest.mark.parametrize("n,mode,signs", [(2, GROUP, (1, -1)), (3, SEMIGROUP, (1,))])
 def test_ball_states_are_heap_columns(n, mode, signs):
+    # the orbits of the table tile the heaps of every word of <= 3 letters
     letters = [(i, s) for i in range(1, n + 1) for s in signs]
     words = itertools.chain.from_iterable(
         itertools.product(letters, repeat=k) for k in range(4)
     )
     heaps = {core.heap_from_word(w, n, mode).columns for w in words}
-    assert set(oracle.enumerate_ball(n, 3, mode).elements) == heaps
+    table = oracle._Interned(n, 3, mode, rows=False)
+    states = set()
+    for rep, size in zip(table.states, table.sizes):
+        orbit = oracle._orbit(rep, table.flip)
+        assert len(orbit) == size and not orbit & states
+        states |= orbit
+    assert states == heaps
 
 
 def test_ball_budget():
     with pytest.raises(oracle.BudgetExceeded):
-        oracle.enumerate_ball(3, 3, GROUP, max_states=10)
+        oracle.ball_counts(3, 3, GROUP, max_states=10)
 
 
 QUOTIENT_VARIANTS = [
@@ -87,8 +142,8 @@ QUOTIENT_VARIANTS = [
 def test_ball_counts_match_full_census(variant, r):
     radius = 5 if r is None else 4
     for n in (1, 2, 3, 4):
-        full = oracle.enumerate_ball(n, radius, variant, r)
-        assert oracle.ball_counts(n, radius, variant, r) == full.counts, (n, variant, r)
+        full = Counter(_brute_census(n, radius, variant, r).values())
+        assert oracle.ball_counts(n, radius, variant, r) == full, (n, variant, r)
 
 
 def _orbit(state, flip):
@@ -106,16 +161,17 @@ def _orbit(state, flip):
 @pytest.mark.parametrize("variant,r", QUOTIENT_VARIANTS)
 def test_orbit_representatives_and_sizes(variant, r):
     # the representative is the smallest state of its orbit, the stored
-    # size is the orbit's (a column of class r/2 cells at even r is its
-    # own flip), and the orbits tile the full ball
+    # size and oracle._orbit are the orbit's (a column of class r/2 cells
+    # at even r is its own flip), and the orbits tile the brute-force ball
     flip = oracle._letters(1, variant, r)[2]
     for n in (1, 2, 3):
-        table = oracle._Interned(n, 4, variant, r, rows=False, quotient=True)
-        full = oracle.enumerate_ball(n, 4, variant, r).elements
+        table = oracle._Interned(n, 4, variant, r, rows=False)
+        full = _brute_census(n, 4, variant, r)
         covered = set()
         for rep, size in zip(table.states, table.sizes):
             orbit = _orbit(rep, flip)
             assert rep == min(orbit) and size == len(orbit), (n, rep)
+            assert oracle._orbit(rep, table.flip) == orbit
             covered |= orbit
         assert covered == set(full) and sum(table.sizes) == len(full)
 
@@ -123,19 +179,20 @@ def test_orbit_representatives_and_sizes(variant, r):
 @pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
 def test_orbit_mass_is_a_multiple_of_orbit_size(mode):
     for n in (1, 2, 3, 4):
-        table = oracle._Interned(n, 5, mode, quotient=True)
+        table = oracle._Interned(n, 5, mode)
         for masses in table.path_counts():
             assert all(c % size == 0 for c, size in zip(masses, table.sizes)), n
 
 
 @pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
 def test_quotient_drift_and_entropy_equal_full_table(mode):
-    # the reference reads the per-state distributions of the full table
+    # the reference is the per-state distribution of every letter word
     budget = 100_000
     for n, steps in ((1, 5), (2, 6), (3, 5), (4, 4)):
         series = oracle.exact_drift_series(n, steps, mode, budget)
         for t in range(1, steps + 1):
-            probs = oracle.exact_distribution(n, t, mode, budget).probabilities
+            probs = _brute_distribution(n, t, mode)
+            assert oracle.exact_distribution(n, t, mode, budget).probabilities == probs
             length = sum(p * sum(map(len, cols)) for cols, p in probs.items())
             assert series[t - 1] == length / t, (n, t)
         acc = sum(float(p) * math.log(p) for p in probs.values())
@@ -207,9 +264,9 @@ def test_ball_keeps_no_transition_rows():
 def test_distribution_support_within_ball():
     n, steps = 2, 5
     dist = oracle.exact_distribution(n, steps, GROUP)
-    ball = oracle.enumerate_ball(n, steps, GROUP)
+    ball = _brute_census(n, steps, GROUP)
     for key in dist.probabilities:
-        assert ball.elements[key] <= steps
+        assert ball[key] <= steps
 
 
 def test_distribution_budget_gate():
@@ -220,6 +277,22 @@ def test_distribution_budget_gate():
     # an explicit budget is honoured, even 0
     with pytest.raises(oracle.BudgetExceeded):
         oracle.exact_distribution(2, 3, GROUP, max_states=0)
+
+
+def test_distribution_budget_counts_its_support():
+    # the 9 orbits of the radius-3 table fit max_states=9, but the 4 + 36
+    # states of odd length 1 and 3 that carry mass do not
+    assert oracle.ball_counts(2, 3, GROUP, max_states=9)
+    with pytest.raises(oracle.BudgetExceeded, match="support of 40 states exceeds 39"):
+        oracle.exact_distribution(2, 3, GROUP, max_states=39)
+    dist = oracle.exact_distribution(2, 3, GROUP, max_states=40)
+    assert len(dist.probabilities) == 40
+
+
+def test_distribution_rejects_an_orbit_mass_off_its_size(monkeypatch):
+    monkeypatch.setattr(oracle, "_orbit_size", lambda state, flip: 3)
+    with pytest.raises(AssertionError, match="not a multiple of its size 3"):
+        oracle.exact_distribution(2, 3, GROUP)
 
 
 def test_drift_semigroup_is_one():
@@ -248,10 +321,10 @@ def test_free_chain_reference():
 def test_free_chain_length_distribution():
     steps = 5
     dist = oracle.exact_distribution(2, steps, GROUP)
-    ball = oracle.enumerate_ball(2, steps, GROUP)
+    ball = _brute_census(2, steps, GROUP)
     by_length = [Fraction(0)] * (steps + 1)
     for key, p in dist.probabilities.items():
-        by_length[ball.elements[key]] += p
+        by_length[ball[key]] += p
     assert by_length == freechain.length_distribution(steps)
 
 

@@ -1,11 +1,15 @@
+import itertools
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from locfree import core, walk
 from locfree.walk import GROUP, SEMIGROUP, WalkParams
+
+import rooflaw
 
 needs_numba = pytest.mark.skipif(not walk._HAVE_NUMBA, reason="numba unavailable")
 
@@ -450,6 +454,39 @@ def test_walk_and_chain_densities_agree():
     walk_density = walk.roof_density_estimate(walk.run_trial(p, 0))
     chain = walk.roof_chain_run(50, 100_000, seed=15, boundary="open")
     assert abs(walk_density - chain.ones_density) < 0.01
+
+
+@pytest.mark.parametrize("n,steps,seed", [
+    (1, 300, 4), (2, 10, 0), (7, 5000, 1), (25, 20000, 3), (100, 50000, 9),
+])
+def test_semigroup_chain_is_the_walk_roof(n, steps, seed):
+    # a semigroup push makes its column strictly highest in its
+    # neighbourhood and changes no other column, so the open chain driven
+    # by the walk's letters is the walk's roof, step by step
+    p = WalkParams(n, steps, 1, seed, SEMIGROUP, snapshot_every=steps)
+    stats = walk.run_trial(p, 0)
+    chain = walk.roof_chain_run(n, steps, seed)
+    assert chain.ones_density == walk.roof_density_estimate(stats)
+    assert chain.final == stats.snapshots[-1][2]
+
+
+def test_roof_law_is_the_permutation_peak_law():
+    for m in range(1, 8):
+        brute = [0] * (m + 1)
+        for perm in itertools.permutations(range(1, m + 1)):
+            padded = (0, *perm, 0)
+            brute[sum(padded[j - 1] < padded[j] > padded[j + 1] for j in range(1, m + 1))] += 1
+        assert rooflaw.peak_counts(m) == brute, m
+
+
+def test_roof_law_totals_and_mean():
+    for m in range(1, 30):
+        counts = rooflaw.peak_counts(m)
+        assert sum(counts) == math.factorial(m), m
+        if m >= 2:
+            mean = Fraction(sum(k * c for k, c in enumerate(counts)), math.factorial(m))
+            assert mean == Fraction(m + 1, 3), m
+            assert rooflaw.roof_density(m) == Fraction(m + 1, 3 * m), m
 
 
 def test_chain_group_mode_runs():
