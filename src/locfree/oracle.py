@@ -83,8 +83,8 @@ def _letters(n: int, variant: str, r: int | None):
         labels, merge = (1,), None
     elif variant == PROJECTIVE:
         labels, merge = (1,), lambda top, label: top  # f_i f_i = f_i
-    else:
-        labels, merge = (1 % r, -1 % r), lambda top, label: (top + label) % r
+    else:  # at r = 2, f_i^{-1} = f_i: one label
+        labels, merge = (1,) if r == 2 else (1, r - 1), lambda top, label: (top + label) % r
         flip = [-e % r for e in range(r)]
     return [(i, label) for i in range(1, n + 1) for label in labels], merge, flip
 

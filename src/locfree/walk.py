@@ -3,12 +3,13 @@ Seeded Monte Carlo random walks on the colored-heap representation.
 
 Each step multiplies the current element by a uniformly chosen letter:
 2n choices f_i^{+-1} in group mode, n positive choices in semigroup
-mode. The heap makes a step O(1): push into column i, or in group mode
-cancel against a removable opposite-color top cell, then refresh roof
-membership of columns i-1, i, i+1 (the only columns whose neighborhood
-changed). The semigroup walk is exactly ballistic deposition: cells
-only pile up, the word length equals the step count, and the heap's
-height and density are surface-growth observables.
+mode. The heap makes a step O(1). A push into column i lands strictly
+above both neighbours, so it sets the roof marks by rule: i joins, i-1
+and i+1 leave. In group mode a letter that meets a roof top of the
+opposite colour cancels it instead, and only then are the marks of
+columns i-1, i, i+1 recomputed. The semigroup walk is exactly ballistic
+deposition: cells only pile up, the word length equals the step count,
+and the heap's height and density are surface-growth observables.
 
 Measured quantities, per trial and over a stationary window that
 discards the first burn_in steps (default 10 n, the roof's O(n)
@@ -172,13 +173,14 @@ def _letter_codes(seed: int, stream: int, steps: int, n: int, mode: str) -> np.n
     """Philox stream (seed, stream) reduced to `steps` letter codes of the mode."""
     bitgen = np.random.Philox(key=[seed, stream])
     raw = np.random.Generator(bitgen).integers(0, 2**64, size=steps, dtype=np.uint64)
-    base = 2 * n if mode == GROUP else n
-    return (raw % base).astype(np.int64)
+    # in place, so one step-length array is alive; the codes fit in int64
+    np.remainder(raw, np.uint64(2 * n if mode == GROUP else n), out=raw)
+    return raw.view(np.int64)
 
 
 # ---------------------------------------------------------------------------
 # The step kernel: integer state in flat buffers, only 1-D indexing and
-# len(), so numba compiles the source verbatim. Do not add floating point:
+# enumerate, so numba compiles the source verbatim. Do not add floating point:
 # bit identity of the compiled and interpreted paths depends on it.
 #
 # shift = 1 reads group codes (column code >> 1, sign + for even codes),
@@ -187,61 +189,59 @@ def _letter_codes(seed: int, stream: int, steps: int, n: int, mode: str) -> np.n
 # are at most steps <= MAX_STEPS, within 32 bits), below[k] the slot
 # under it in its column or -1. top_cell[i] is the slot of column i's top
 # or -1 and tops[i] its level or 0; these and in_roof have sentinels at
-# columns 0 and n + 1. A cancellation pops top_cell[i] to below[...].
+# columns 0 and n + 1, which stay 0.
+#
+# Column i's top is removable iff i is in the roof, so a cancellation is
+# tested on in_roof[i] and the top's colour before any maximum is taken;
+# it pops top_cell[i] to below[...] and recomputes the marks of i - 1, i,
+# i + 1. A push lands one above max(tops[i-1], tops[i], tops[i+1]),
+# strictly above both neighbours, and changes no other neighbourhood: i
+# joins the roof and i - 1, i + 1 leave it, so no mark is compared.
 
 
 def _steps(n, shift, burn_in, snap_every, letters, cells, below, top_cell, tops, in_roof, hist, snap_tops, snap_roof):
-    height = 0
-    roof_size = 0
-    snap_pos = 0
-    pushes = 0
-    reductions = 0
-    red_window = 0
-    plus_window = 0
-    minus_window = 0
-    for step in range(len(letters)):
-        code = letters[step]
+    height = roof_size = snap_pos = pushes = reductions = 0
+    red_window = plus_window = minus_window = 0
+    for step, code in enumerate(letters):
         i = (code >> shift) + 1
         s = 1 - 2 * (code & shift)
-        a = tops[i - 1]
-        b = tops[i]
-        c = tops[i + 1]
-        t = a if a > b else b
-        if c > t:
-            t = c
-        old_roof = roof_size
-        k = top_cell[i]
-        reduced = k >= 0 and cells[k] == -s * t
-        if reduced:  # column i's top is removable and of the opposite colour
-            k = below[k]
+        if in_roof[i] and cells[top_cell[i]] == -s * tops[i]:  # opposite colour
+            k = below[top_cell[i]]
             top_cell[i] = k
             tops[i] = abs(cells[k]) if k >= 0 else 0
             reductions += 1
-        else:
-            t += 1
-            cells[pushes] = s * t
-            below[pushes] = k
-            top_cell[i] = pushes
-            pushes += 1
-            tops[i] = t
-            if t > height:
-                height = t
-        lo = i - 1 if i > 1 else 1
-        hi = i + 1 if i < n else n
-        for j in range(lo, hi + 1):
-            m = 0
-            if tops[j] > 0 and tops[j] >= tops[j - 1] and tops[j] >= tops[j + 1]:
-                m = 1
-            roof_size += m - in_roof[j]
-            in_roof[j] = m
-        if step >= burn_in:
-            hist[roof_size] += 1
-            if reduced:
+            old_roof = roof_size
+            for j in range(i - 1, i + 2):  # a sentinel fails tops[j] > 0 and keeps 0
+                m = 1 if tops[j] > 0 and tops[j] >= tops[j - 1] and tops[j] >= tops[j + 1] else 0
+                roof_size += m - in_roof[j]
+                in_roof[j] = m
+            if step >= burn_in:
                 red_window += 1
                 if roof_size > old_roof:
                     plus_window += 1
                 elif roof_size < old_roof:
                     minus_window += 1
+        else:
+            a = tops[i - 1]
+            b = tops[i]
+            c = tops[i + 1]
+            t = a if a > b else b
+            if c > t:
+                t = c
+            t += 1
+            cells[pushes] = s * t
+            below[pushes] = top_cell[i]
+            top_cell[i] = pushes
+            pushes += 1
+            tops[i] = t
+            if t > height:
+                height = t
+            roof_size += 1 - in_roof[i - 1] - in_roof[i] - in_roof[i + 1]
+            in_roof[i - 1] = 0
+            in_roof[i] = 1
+            in_roof[i + 1] = 0
+        if step >= burn_in:
+            hist[roof_size] += 1
         if snap_every > 0 and (step + 1) % snap_every == 0:
             for j in range(1, n + 1):
                 snap_tops[snap_pos] = tops[j]
@@ -506,28 +506,25 @@ def roof_chain_run(
     codes = _letter_codes(seed, 0, steps, n, mode).tolist()
     shift = 1 if mode == GROUP else 0
 
-    eps = [0] * n
-    ones = 0
-    acc = 0
+    # eps[n] is the always-0 neighbour of the open ends
+    eps = [0] * (n + 1)
+    if boundary == PERIODIC and n > 1:
+        left, right = [n - 1, *range(n - 1)], [*range(1, n), 0]
+    else:
+        left, right = [n, *range(n - 1)], list(range(1, n + 1))
+    ones = acc = 0
     series = []
-    left = [-1] * n
-    right = [-1] * n
-    for j in range(n):
-        if boundary == PERIODIC and n > 1:
-            left[j] = (j - 1) % n
-            right[j] = (j + 1) % n
-        else:
-            left[j] = j - 1
-            right[j] = j + 1 if j + 1 < n else -1
     for step, code in enumerate(codes):
         j = code >> shift
         if eps[j] == 0:
+            # one after the other: periodic n = 2 has left[j] == right[j]
+            k = left[j]
+            ones += 1 - eps[k]
+            eps[k] = 0
+            k = right[j]
+            ones -= eps[k]
+            eps[k] = 0
             eps[j] = 1
-            ones += 1
-            for k in (left[j], right[j]):
-                if k >= 0 and eps[k]:
-                    eps[k] = 0
-                    ones -= 1
         elif code & shift:  # a group letter's reduce coin; never in semigroup mode
             eps[j] = 0
             ones -= 1
@@ -544,6 +541,6 @@ def roof_chain_run(
         boundary=boundary,
         burn_in=burn_in,
         ones_density=density,
-        final=tuple(eps),
+        final=tuple(eps[:n]),
         series=tuple(series),
     )

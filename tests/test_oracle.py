@@ -100,6 +100,20 @@ def test_ball_matches_count_words(variant, r):
             assert counts.get(k, 0) == expected, (variant, r, n, k)
 
 
+def test_restricted_letters_are_distinct():
+    # at r = 2 the labels 1 and -1 are one class, so each column has one letter
+    for r in (2, 3, 5):
+        letters = oracle._letters(4, counting.RESTRICTED, r)[0]
+        assert len(set(letters)) == len(letters) == 4 * min(r - 1, 2), r
+    # recorded before the duplicate r = 2 letters were dropped
+    assert {n: oracle.ball_counts(n, 8, counting.RESTRICTED, 2) for n in (1, 2, 3, 4)} == {
+        1: {0: 1, 1: 1},
+        2: {0: 1, 1: 2, 2: 2, 3: 2, 4: 2, 5: 2, 6: 2, 7: 2, 8: 2},
+        3: {0: 1, 1: 3, 2: 5, 3: 8, 4: 13, 5: 21, 6: 34, 7: 55, 8: 89},
+        4: {0: 1, 1: 4, 2: 9, 3: 18, 4: 36, 5: 72, 6: 144, 7: 288, 8: 576},
+    }
+
+
 def test_ball_restricted_large_order():
     # classes up to r - 1 = 299 must survive the state key
     counts = oracle.ball_counts(2, 3, counting.RESTRICTED, r=300)

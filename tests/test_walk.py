@@ -72,6 +72,19 @@ def test_letter_stream_deterministic():
     assert a.min() >= 0 and a.max() < 10
 
 
+def test_letter_codes_match_the_modulo_formula():
+    # the in-place reduction gives the codes of (raw % base).astype(int64)
+    for mode in (GROUP, SEMIGROUP):
+        for n, seed, stream in ((1, 0, 0), (3, 17, 2), (100, 5, 1), (1000, 2**40 + 3, 7)):
+            raw = np.random.Generator(np.random.Philox(key=[seed, stream])).integers(
+                0, 2**64, size=5000, dtype=np.uint64
+            )
+            old = (raw % (2 * n if mode == GROUP else n)).astype(np.int64)
+            new = walk._letter_codes(seed, stream, 5000, n, mode)
+            assert new.dtype == np.int64 and new.nbytes == old.nbytes
+            assert np.array_equal(new, old), (mode, n, seed, stream)
+
+
 # --- run_trial -------------------------------------------------------------
 
 
@@ -144,8 +157,9 @@ def test_kernel_over_numpy_buffers(monkeypatch, mode):
     # kernel: the array form numba compiles, checked without numba
     monkeypatch.setattr(walk, "_HAVE_NUMBA", True)
     monkeypatch.setattr(walk, "_steps_jit", walk._steps, raising=False)
-    p = WalkParams(n=12, steps=4000, trials=1, seed=41, mode=mode, snapshot_every=1000)
-    assert walk.run_trial(p, 0, engine="numba") == walk.run_trial(p, 0, engine="python")
+    for n in (1, 2, 12):
+        p = WalkParams(n=n, steps=4000, trials=1, seed=41, mode=mode, snapshot_every=1)
+        assert walk.run_trial(p, 0, engine="numba") == walk.run_trial(p, 0, engine="python"), n
 
 
 def test_pinned_stats():
@@ -170,6 +184,20 @@ def test_pinned_stats():
     assert (st.final_length, st.height, st.reductions, st.reductions_window) == (6, 13, 147, 143)
     assert (st.roof_delta_plus_given_reduction, st.roof_delta_minus_given_reduction) == (0, 16)
     assert st.roof_hist == (16, 274)
+
+
+@pytest.mark.parametrize("mode,seed,pinned", [
+    (GROUP, 5, (13438, 599, 3281, 3129, 267, 1008, 612360, 19820440)),
+    (SEMIGROUP, 6, (20000, 797, 0, 0, 0, 0, 638958, 21563404)),
+])
+def test_pinned_stats_n100(mode, seed, pinned):
+    # recorded from the kernel that recomputed the roof marks on every step
+    st = walk.run_trial(WalkParams(n=100, steps=20_000, trials=1, seed=seed, mode=mode), 0)
+    assert (
+        st.final_length, st.height, st.reductions, st.reductions_window,
+        st.roof_delta_plus_given_reduction, st.roof_delta_minus_given_reduction,
+        st.roof_size_sum, st.roof_size_sq_sum,
+    ) == pinned
 
 
 def test_single_step_trial():
@@ -468,6 +496,54 @@ def test_semigroup_chain_is_the_walk_roof(n, steps, seed):
     chain = walk.roof_chain_run(n, steps, seed)
     assert chain.ones_density == walk.roof_density_estimate(stats)
     assert chain.final == stats.snapshots[-1][2]
+
+
+@pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
+@pytest.mark.parametrize("boundary", [walk.OPEN, walk.PERIODIC])
+def test_chain_run_is_the_chain_model(mode, boundary):
+    # roof_chain_step folded over the run's own letters; in group mode a
+    # letter aimed at a roof column reduces only on its coin, code & 1
+    for n in (1, 2, 3, 12):
+        steps, seed = 3000, n + 20
+        res = walk.roof_chain_run(n, steps, seed, mode, boundary, sample_every=1)
+        codes = walk.letter_stream(WalkParams(n, steps, 1, seed, mode), 0).tolist()
+        eps, series, acc = (0,) * n, [], 0
+        for step, code in enumerate(codes):
+            if mode == GROUP:
+                j, rule = code // 2, GROUP if code & 1 else SEMIGROUP
+            else:
+                j, rule = code, SEMIGROUP
+            eps = roof_chain_step(eps, j + 1, rule, boundary)
+            if step >= res.burn_in:
+                acc += sum(eps)
+            series.append((step + 1, sum(eps)))
+        assert res.series == tuple(series), n
+        assert res.final == eps, n
+        assert res.ones_density == acc / ((steps - res.burn_in) * n), n
+
+
+def test_walk_roof_mean_matches_exact_law():
+    # trial means of |T| over 48 independent semigroup trials, against the
+    # stationary mean (n + 1) / 3 of the permutation peak law
+    n = 10
+    _, runs = walk.run_walk(WalkParams(n=n, steps=20_000, trials=48, seed=12, mode=SEMIGROUP))
+    means = [t.roof_size_sum / t.window_steps for t in runs]
+    exact = float(rooflaw.roof_density(n) * n)
+    mean = sum(means) / len(means)
+    se = float(np.std(means, ddof=1)) / math.sqrt(len(means))
+    assert abs(mean - exact) <= 4 * se
+
+
+def test_periodic_chain_density_matches_exact_third():
+    # on the periodic chain every column is a peak of a cyclic permutation
+    # of the last pushes with probability exactly 1/3
+    densities = [
+        walk.roof_chain_run(12, 20_000, seed, boundary=walk.PERIODIC).ones_density
+        for seed in range(24)
+    ]
+    mean = sum(densities) / len(densities)
+    se = float(np.std(densities, ddof=1)) / math.sqrt(len(densities))
+    assert abs(mean - 1 / 3) <= 4 * se
 
 
 def test_roof_law_is_the_permutation_peak_law():
