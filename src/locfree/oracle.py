@@ -330,11 +330,6 @@ def exact_distribution(
     return ExactDistribution(n, mode, N, probs)
 
 
-def exact_drift(n: int, N: int, mode: str, max_states: int | None = None) -> Fraction:
-    """E[K(w_N)] / N as an exact rational."""
-    return exact_drift_series(n, N, mode, max_states)[-1]
-
-
 def exact_drift_series(
     n: int, N: int, mode: str, max_states: int | None = None
 ) -> list[Fraction]:

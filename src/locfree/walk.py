@@ -19,26 +19,27 @@ relaxation scale):
                 semigroup mode);
   roof density  time average of #T_j / n, where #T_j is the roof size
                 after step j; approaches 1/3 for large n;
-  entropy       semigroup: -(1/W) sum_j log(#T_j / n) over the window,
-                approaching log 3; group: the plug-in log(3 - alpha),
-                since the 2n-letter walk admits no direct trajectory
-                estimator of this form;
+  entropy       semigroup: -(1/W) sum_j log(#T_j / n), the window mean
+                of log(n / #T_j). It estimates the paper's roof
+                functional E log(n/|T|), which tends to log 3 for large
+                n; it is not the walk's entropy h(mu). group: the
+                plug-in log(3 - alpha) of the measured alpha, since the
+                2n-letter walk admits no direct trajectory estimator of
+                this form;
   alpha         half the difference of the conditional probabilities
                 that a reduction step grows vs shrinks the roof;
   heap geometry semigroup: height coefficient H n / N and cell density
                 N / (n H) of the deposit.
 
 Determinism: the letter stream of trial t is Philox counter-based
-random bits keyed by (seed, t), reduced modulo the letter count (bias
-below 2^-53 for n <= 2^10, since 2n divides into 2^64 that evenly).
-Identical (params, trial_index) give bit-identical WalkStats on every
-platform: the step kernel manipulates integers only, and every floating
-point statistic is derived afterwards from those integers in a fixed
-order. One step kernel serves both modes (a positive letter never
-cancels) and gives each push its own storage slot, so it cannot
-overflow. Its source runs compiled by numba over numpy arrays when numba
-is importable, else interpreted over Python lists and array('i')
-buffers; the tests cross-check the two bit for bit.
+random bits keyed by the 64-bit pair (seed, t), reduced modulo the
+letter count (bias below 2^-53 for n <= 2^10, since 2n divides into
+2^64 that evenly). Identical (params, trial_index) give bit-identical
+WalkStats on every platform: the step kernel manipulates integers only,
+and every floating point statistic is derived afterwards from those
+integers in a fixed order. One step kernel serves both modes (a
+positive letter never cancels) and gives each push its own storage
+slot, so it cannot overflow.
 """
 
 from __future__ import annotations
@@ -51,13 +52,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from locfree.core import GROUP, SEMIGROUP, MODES
-
-try:
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
 
 OPEN = "open"
 PERIODIC = "periodic"
@@ -76,6 +70,12 @@ def _check_budget(steps: int, slots: int) -> None:
         raise ValueError(f"steps is budgeted at <= {MAX_STEPS} per trial, got {steps}")
     if slots > MAX_SLOTS:
         raise ValueError(f"the run would store {slots} integers, budgeted at <= {MAX_SLOTS}")
+
+
+def _check_seed(seed) -> None:
+    # a float or an out-of-range int would reach Philox as some other key
+    if not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an int in [0, 2^64), got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,7 @@ class WalkParams:
             raise ValueError("steps must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+        _check_seed(self.seed)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.snapshot_every < 0:
@@ -171,7 +170,7 @@ def letter_stream(params: WalkParams, trial_index: int) -> np.ndarray:
 
 def _letter_codes(seed: int, stream: int, steps: int, n: int, mode: str) -> np.ndarray:
     """Philox stream (seed, stream) reduced to `steps` letter codes of the mode."""
-    bitgen = np.random.Philox(key=[seed, stream])
+    bitgen = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
     raw = np.random.Generator(bitgen).integers(0, 2**64, size=steps, dtype=np.uint64)
     # in place, so one step-length array is alive; the codes fit in int64
     np.remainder(raw, np.uint64(2 * n if mode == GROUP else n), out=raw)
@@ -179,9 +178,8 @@ def _letter_codes(seed: int, stream: int, steps: int, n: int, mode: str) -> np.n
 
 
 # ---------------------------------------------------------------------------
-# The step kernel: integer state in flat buffers, only 1-D indexing and
-# enumerate, so numba compiles the source verbatim. Do not add floating point:
-# bit identity of the compiled and interpreted paths depends on it.
+# The step kernel: integer state in flat buffers. Do not add floating point:
+# the bit identity of WalkStats across platforms depends on it.
 #
 # shift = 1 reads group codes (column code >> 1, sign + for even codes),
 # shift = 0 semigroup codes (sign always +, so no cancellation). The k-th
@@ -199,8 +197,8 @@ def _letter_codes(seed: int, stream: int, steps: int, n: int, mode: str) -> np.n
 # joins the roof and i - 1, i + 1 leave it, so no mark is compared.
 
 
-def _steps(n, shift, burn_in, snap_every, letters, cells, below, top_cell, tops, in_roof, hist, snap_tops, snap_roof):
-    height = roof_size = snap_pos = pushes = reductions = 0
+def _steps(shift, burn_in, snap_every, letters, cells, below, top_cell, tops, in_roof, hist, snapshots):
+    height = roof_size = pushes = reductions = 0
     red_window = plus_window = minus_window = 0
     for step, code in enumerate(letters):
         i = (code >> shift) + 1
@@ -243,15 +241,8 @@ def _steps(n, shift, burn_in, snap_every, letters, cells, below, top_cell, tops,
         if step >= burn_in:
             hist[roof_size] += 1
         if snap_every > 0 and (step + 1) % snap_every == 0:
-            for j in range(1, n + 1):
-                snap_tops[snap_pos] = tops[j]
-                snap_roof[snap_pos] = in_roof[j]
-                snap_pos += 1
+            snapshots.append((step + 1, tuple(tops[1:-1]), tuple(in_roof[1:-1])))
     return height, pushes, reductions, red_window, plus_window, minus_window
-
-
-if _HAVE_NUMBA:
-    _steps_jit = _njit(cache=True)(_steps)
 
 
 def run_trial(params: WalkParams, trial_index: int, engine: str = "auto") -> WalkStats:
@@ -259,51 +250,33 @@ def run_trial(params: WalkParams, trial_index: int, engine: str = "auto") -> Wal
     Execute one trial deterministically, through the step kernel shared
     by both modes, with one of `steps` preallocated slots per push.
 
-    engine: "numba" (the kernel compiled, over numpy arrays), "python"
-    (the same source interpreted, over lists and array('i') buffers), or
-    "auto" (numba when importable). Both produce identical WalkStats.
+    engine: "auto" and "python" run the kernel, "numba" raises
+    RuntimeError (no compiled engine exists; callers probe for one this
+    way) and any other value ValueError.
     """
     if engine not in ("auto", "numba", "python"):
         raise ValueError("engine must be auto, numba, or python")
-    if engine == "numba" and not _HAVE_NUMBA:
-        raise RuntimeError("numba requested but not importable")
-    use_numba = engine == "numba" or (engine == "auto" and _HAVE_NUMBA)
+    if engine == "numba":
+        raise RuntimeError("no numba engine: the kernel runs interpreted only")
 
     n = params.n
-    snaps = params.steps // params.snapshot_every if params.snapshot_every else 0
-    letters = letter_stream(params, trial_index)
-    if not use_numba:
-        letters = letters.tolist()  # before the slots exist, to lower the peak
+    letters = letter_stream(params, trial_index).tolist()  # before the slots, to lower the peak
     slots = array("i", [0]) * params.steps
-    buffers = (
+    hist = [0] * (n + 1)
+    snapshots = []
+    shift = 1 if params.mode == GROUP else 0
+    height, pushes, reductions, red_window, plus_window, minus_window = _steps(
+        shift,
+        params.burn_in,
+        params.snapshot_every,
+        letters,
         slots,  # cells
         array("i", slots),  # below
         [-1] * (n + 2),  # top_cell
         [0] * (n + 2),  # tops
         [0] * (n + 2),  # in_roof
-        [0] * (n + 1),  # hist
-        [0] * (snaps * n),  # snap_tops
-        [0] * (snaps * n),  # snap_roof
-    )
-    kernel = _steps
-    if use_numba:
-        kernel = _steps_jit
-        buffers = tuple(
-            np.asarray(b) if isinstance(b, array) else np.array(b, dtype=np.int64)
-            for b in buffers
-        )
-    shift = 1 if params.mode == GROUP else 0
-    height, pushes, reductions, red_window, plus_window, minus_window = kernel(
-        n, shift, params.burn_in, params.snapshot_every, letters, *buffers
-    )
-    hist, snap_tops, snap_roof = buffers[5:]
-    snapshots = tuple(
-        (
-            (row + 1) * params.snapshot_every,
-            tuple(int(x) for x in snap_tops[row * n:(row + 1) * n]),
-            tuple(int(x) for x in snap_roof[row * n:(row + 1) * n]),
-        )
-        for row in range(snaps)
+        hist,
+        snapshots,
     )
     return WalkStats(
         n=n,
@@ -312,14 +285,14 @@ def run_trial(params: WalkParams, trial_index: int, engine: str = "auto") -> Wal
         trial_index=trial_index,
         burn_in=params.burn_in,
         window_steps=params.steps - params.burn_in,
-        final_length=int(pushes - reductions),
-        height=int(height),
-        reductions=int(reductions),
-        reductions_window=int(red_window),
-        roof_delta_plus_given_reduction=int(plus_window),
-        roof_delta_minus_given_reduction=int(minus_window),
-        roof_hist=tuple(int(c) for c in hist),
-        snapshots=snapshots,
+        final_length=pushes - reductions,
+        height=height,
+        reductions=reductions,
+        reductions_window=red_window,
+        roof_delta_plus_given_reduction=plus_window,
+        roof_delta_minus_given_reduction=minus_window,
+        roof_hist=tuple(hist),
+        snapshots=tuple(snapshots),
     )
 
 
@@ -352,9 +325,10 @@ def roof_density_estimate(stats) -> float:
 
 def entropy_estimate(stats, mode: str) -> float:
     """
-    Entropy rate estimate: the trajectory average -(1/W) sum log(#T/n)
-    in semigroup mode; the plug-in log(3 - alpha) in group mode, where
-    this functional has no single-trajectory form over 2n letters.
+    The paper's entropy functional. Semigroup mode: the window mean of
+    log(n/#T), an estimate of the roof functional E log(n/|T|), not of
+    the walk's entropy h(mu). Group mode: the plug-in log(3 - alpha_hat),
+    since this functional has no single-trajectory form over 2n letters.
     """
     runs = _as_list(stats)
     if mode == SEMIGROUP:
@@ -497,6 +471,7 @@ def roof_chain_run(
         raise ValueError(f"mode must be one of {MODES}")
     if boundary not in (OPEN, PERIODIC):
         raise ValueError("boundary must be open or periodic")
+    _check_seed(seed)
     if burn_in is None:
         burn_in = min(10 * n, steps - 1)
     if not 0 <= burn_in < steps:

@@ -311,7 +311,28 @@ def test_distribution_rejects_an_orbit_mass_off_its_size(monkeypatch):
 
 def test_drift_semigroup_is_one():
     for n, steps in ((1, 4), (2, 6), (4, 5)):
-        assert oracle.exact_drift(n, steps, SEMIGROUP) == 1
+        assert oracle.exact_drift_series(n, steps, SEMIGROUP) == [1] * steps
+
+
+def _length_and_roof(dist):
+    """E|W| and E|T(W)| of an exact distribution, as Fractions."""
+    length = roof = Fraction(0)
+    for columns, p in dist.probabilities.items():
+        length += p * sum(map(len, columns))
+        roof += p * sum(1 for m in core._roof_marks(columns) if m)
+    return length, roof
+
+
+@pytest.mark.parametrize("n, n_steps", [(1, 7), (2, 7), (3, 5)])
+def test_group_drift_increment_is_one_minus_mean_roof(n, n_steps):
+    # a group letter cancels iff its column is in the roof and it has the
+    # top's opposite colour: one of that column's two letters, so
+    # E|W_{N+1}| - E|W_N| = 1 - E|T(W_N)|/n exactly
+    length, roof = Fraction(0), Fraction(0)  # N = 0: the empty heap
+    for N in range(n_steps + 1):
+        next_length, next_roof = _length_and_roof(oracle.exact_distribution(n, N + 1, GROUP))
+        assert next_length - length == 1 - roof / n, (n, N)
+        length, roof = next_length, next_roof
 
 
 def test_drift_series_free_group():

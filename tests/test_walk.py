@@ -1,17 +1,16 @@
 import itertools
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from locfree import core, walk
+from locfree import core, oracle, walk
 from locfree.walk import GROUP, SEMIGROUP, WalkParams
 
 import rooflaw
-
-needs_numba = pytest.mark.skipif(not walk._HAVE_NUMBA, reason="numba unavailable")
 
 
 # --- params and streams ----------------------------------------------------
@@ -24,6 +23,8 @@ def test_params_validation():
         dict(n=2, steps=10, trials=0, seed=0, mode=GROUP),
         dict(n=2, steps=10, trials=1, seed=-1, mode=GROUP),
         dict(n=2, steps=10, trials=1, seed=2**64, mode=GROUP),
+        dict(n=2, steps=10, trials=1, seed=1.5, mode=GROUP),
+        dict(n=2, steps=10, trials=1, seed="3", mode=GROUP),
         dict(n=2, steps=10, trials=1, seed=0, mode="monoid"),
         dict(n=2, steps=10, trials=1, seed=0, mode=GROUP, snapshot_every=-1),
         dict(n=2, steps=10, trials=1, seed=0, mode=GROUP, burn_in=10),
@@ -85,6 +86,26 @@ def test_letter_codes_match_the_modulo_formula():
             assert np.array_equal(new, old), (mode, n, seed, stream)
 
 
+def test_seeds_above_2_63_draw_their_own_streams():
+    first = lambda seed: walk._letter_codes(seed, 0, 10, 5, GROUP).tolist()  # noqa: E731
+    assert first(2**63 + 1) != first(2**63 + 2)
+    assert first(2**63 + 1) != first(2**63)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert first(2**64 - 1) != first(0)
+
+
+def test_letter_codes_pinned_below_2_63():
+    # recorded with the earlier list key [seed, stream]; the 64-bit key
+    # keeps every stream of a seed <= 2^63
+    assert walk._letter_codes(0, 0, 10, 5, GROUP).tolist() == [9, 8, 9, 6, 3, 5, 7, 6, 5, 0]
+    assert walk._letter_codes(0, 3, 10, 5, GROUP).tolist() == [3, 7, 6, 2, 2, 3, 1, 2, 7, 6]
+    assert walk._letter_codes(2**63 - 1, 0, 10, 5, GROUP).tolist() == [8, 5, 9, 1, 8, 9, 2, 7, 6, 0]
+    assert walk._letter_codes(2**63 - 1, 3, 10, 5, GROUP).tolist() == [4, 8, 4, 2, 2, 2, 7, 9, 7, 0]
+    assert walk._letter_codes(2**63, 0, 10, 5, GROUP).tolist() == [8, 8, 9, 9, 6, 8, 7, 2, 9, 4]
+    assert walk._letter_codes(2**63, 3, 10, 5, GROUP).tolist() == [8, 5, 8, 5, 4, 8, 5, 3, 2, 1]
+
+
 # --- run_trial -------------------------------------------------------------
 
 
@@ -94,11 +115,14 @@ def test_trial_deterministic():
     assert walk.run_trial(p, 0) != walk.run_trial(p, 1)
 
 
-@needs_numba
-@pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
-def test_engines_bit_identical(mode):
-    p = WalkParams(n=12, steps=20_000, trials=1, seed=41, mode=mode, snapshot_every=5000)
-    assert walk.run_trial(p, 0, engine="numba") == walk.run_trial(p, 0, engine="python")
+def test_engine_keyword():
+    # only the interpreted kernel exists; "numba" is refused as unavailable
+    p = WalkParams(n=5, steps=300, trials=1, seed=2, mode=GROUP, snapshot_every=100)
+    assert walk.run_trial(p, 0, engine="auto") == walk.run_trial(p, 0, engine="python") == walk.run_trial(p, 0)
+    with pytest.raises(RuntimeError):
+        walk.run_trial(p, 0, engine="numba")
+    with pytest.raises(ValueError):
+        walk.run_trial(p, 0, engine="jit")
 
 
 def _replay(p: WalkParams, trial: int) -> walk.WalkStats:
@@ -149,17 +173,6 @@ def test_trial_matches_core_replay(mode):
             p = WalkParams(n=n, steps=1500, trials=2, seed=seed, mode=mode, snapshot_every=1)
             for trial in range(p.trials):
                 assert walk.run_trial(p, trial) == _replay(p, trial), (n, seed, trial)
-
-
-@pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
-def test_kernel_over_numpy_buffers(monkeypatch, mode):
-    # the numba engine's numpy buffers, driven through the interpreted
-    # kernel: the array form numba compiles, checked without numba
-    monkeypatch.setattr(walk, "_HAVE_NUMBA", True)
-    monkeypatch.setattr(walk, "_steps_jit", walk._steps, raising=False)
-    for n in (1, 2, 12):
-        p = WalkParams(n=n, steps=4000, trials=1, seed=41, mode=mode, snapshot_every=1)
-        assert walk.run_trial(p, 0, engine="numba") == walk.run_trial(p, 0, engine="python"), n
 
 
 def test_pinned_stats():
@@ -425,6 +438,9 @@ def test_chain_run_validation():
         dict(n=5, steps=200, seed=1, mode="grp"),
         dict(n=0, steps=200, seed=1),
         dict(n=5, steps=0, seed=1),
+        dict(n=5, steps=100, seed=-1),
+        dict(n=5, steps=100, seed=2**64),
+        dict(n=5, steps=100, seed=1.5),
     ):
         with pytest.raises(ValueError):
             walk.roof_chain_run(**bad)
@@ -532,6 +548,13 @@ def test_walk_roof_mean_matches_exact_law():
     mean = sum(means) / len(means)
     se = float(np.std(means, ddof=1)) / math.sqrt(len(means))
     assert abs(mean - exact) <= 4 * se
+
+
+def test_walk_drift_matches_exact_finite_n():
+    # 2000 group trials of N = 8 steps at n = 3 against the exact E|W_8|/8
+    report, _ = walk.run_walk(WalkParams(n=3, steps=8, trials=2000, seed=5, mode=GROUP))
+    exact = float(oracle.exact_drift_series(3, 8, GROUP)[-1])
+    assert abs(report["drift_mean"] - exact) <= 4 * report["drift_se"]
 
 
 def test_periodic_chain_density_matches_exact_third():
