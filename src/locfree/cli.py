@@ -4,10 +4,11 @@ Command-line front end. Every run is fully determined by its flags
 
 Subcommands: count, volume, spectrum, walk, roof-chain, oracle-verify,
 braid-bounds, inequality. CSV output uses Unix newlines, no quoting,
-a `# run:` comment echoing the resolved flags, and a header row. JSON
-output carries the documented keys with floats rounded to 12
-significant digits. Exit codes: 0 success, 1 oracle-verify mismatch,
-2 usage or budget error.
+a `# run:` comment echoing the flags as given (a defaulted --burn-in
+prints burn-in=None), and a header row. JSON output carries the
+documented keys with floats rounded to 12 significant digits. Exit
+codes: 0 success, 1 oracle-verify mismatch, 2 usage or budget error or
+an --out path that cannot be written.
 """
 
 from __future__ import annotations
@@ -71,19 +72,8 @@ def _positive(kind, name, minimum=1, maximum=None):
 # Subcommand handlers
 
 
-def _variant_r(args) -> int | None:
-    if args.variant == RESTRICTED:
-        if args.r is None:
-            raise ValueError("--r is required with --variant restricted")
-        return args.r
-    if args.r is not None:
-        raise ValueError("--r applies only to --variant restricted")
-    return None
-
-
 def _cmd_count(args) -> int:
-    r = _variant_r(args)
-    counts = counting.count_words_range(args.n, args.k_max, args.variant, r)
+    counts = counting.count_words_range(args.n, args.k_max, args.variant, args.r)
     comment = _run_line(args, ["variant", "n", "k_max", "r", "format"])
     if args.format == "csv":
         rows = [(args.variant, args.n, k + 1, c) for k, c in enumerate(counts)]
@@ -94,7 +84,7 @@ def _cmd_count(args) -> int:
                 "variant": args.variant,
                 "n": args.n,
                 "k_max": args.k_max,
-                "r": r,
+                "r": args.r,
                 "counts": [str(c) for c in counts],  # lossless decimal
             },
             args.out,
@@ -103,8 +93,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_volume(args) -> int:
-    r = _variant_r(args)
-    report = counting.volume_report(args.n, args.k_max, args.variant, r)
+    report = counting.volume_report(args.n, args.k_max, args.variant, args.r)
     comment = _run_line(args, ["variant", "n", "k_max", "r", "format"])
     if args.format == "csv":
         rows = [
@@ -382,7 +371,7 @@ def run_command(argv) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.handler(args)
-    except (ValueError, oracle_mod.BudgetExceeded) as exc:
+    except (ValueError, OSError, oracle_mod.BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -72,12 +72,6 @@ def _check_budget(steps: int, slots: int) -> None:
         raise ValueError(f"the run would store {slots} integers, budgeted at <= {MAX_SLOTS}")
 
 
-def _check_seed(seed) -> None:
-    # a float or an out-of-range int would reach Philox as some other key
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an int in [0, 2^64), got {seed!r}")
-
-
 @dataclass(frozen=True)
 class WalkParams:
     """
@@ -103,7 +97,9 @@ class WalkParams:
             raise ValueError("steps must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        _check_seed(self.seed)
+        # a float or an out-of-range int would reach Philox as some other key
+        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an int in [0, 2^64), got {self.seed!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.snapshot_every < 0:
@@ -161,19 +157,15 @@ class WalkStats:
 
 def letter_stream(params: WalkParams, trial_index: int) -> np.ndarray:
     """
-    The deterministic letter codes of one trial: values in [0, 2n) for
-    the group (column = code // 2 + 1, sign = + for even codes), in
-    [0, n) for the semigroup (column = code + 1).
+    The deterministic letter codes of one trial, Philox keyed by the
+    64-bit pair (seed, trial_index): values in [0, 2n) for the group
+    (column = code // 2 + 1, sign = + for even codes), in [0, n) for the
+    semigroup (column = code + 1). roof_chain_run reads trial 0's codes.
     """
-    return _letter_codes(params.seed, trial_index, params.steps, params.n, params.mode)
-
-
-def _letter_codes(seed: int, stream: int, steps: int, n: int, mode: str) -> np.ndarray:
-    """Philox stream (seed, stream) reduced to `steps` letter codes of the mode."""
-    bitgen = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
-    raw = np.random.Generator(bitgen).integers(0, 2**64, size=steps, dtype=np.uint64)
+    bitgen = np.random.Philox(key=np.array([params.seed, trial_index], dtype=np.uint64))
+    raw = np.random.Generator(bitgen).integers(0, 2**64, size=params.steps, dtype=np.uint64)
     # in place, so one step-length array is alive; the codes fit in int64
-    np.remainder(raw, np.uint64(2 * n if mode == GROUP else n), out=raw)
+    np.remainder(raw, np.uint64(2 * params.n if params.mode == GROUP else params.n), out=raw)
     return raw.view(np.int64)
 
 
@@ -296,13 +288,8 @@ def run_trial(params: WalkParams, trial_index: int, engine: str = "auto") -> Wal
     )
 
 
-def _as_list(stats) -> list[WalkStats]:
-    return [stats] if isinstance(stats, WalkStats) else list(stats)
-
-
-def drift_estimate(stats) -> tuple[float, float]:
+def drift_estimate(runs: list[WalkStats]) -> tuple[float, float]:
     """Mean of final_length/steps across trials, with its standard error."""
-    runs = _as_list(stats)
     if not runs:
         raise ValueError("no trials")
     drifts = [t.drift for t in runs]
@@ -313,9 +300,8 @@ def drift_estimate(stats) -> tuple[float, float]:
     return mean, math.sqrt(var / len(drifts))
 
 
-def roof_density_estimate(stats) -> float:
+def roof_density_estimate(runs: list[WalkStats]) -> float:
     """Window average of #T_j / n, pooled over trials."""
-    runs = _as_list(stats)
     total = sum(t.roof_size_sum for t in runs)
     steps = sum(t.window_steps for t in runs)
     if steps == 0:
@@ -323,32 +309,29 @@ def roof_density_estimate(stats) -> float:
     return total / (steps * runs[0].n)
 
 
-def entropy_estimate(stats, mode: str) -> float:
+def entropy_estimate(runs: list[WalkStats]) -> float:
     """
-    The paper's entropy functional. Semigroup mode: the window mean of
-    log(n/#T), an estimate of the roof functional E log(n/|T|), not of
-    the walk's entropy h(mu). Group mode: the plug-in log(3 - alpha_hat),
-    since this functional has no single-trajectory form over 2n letters.
+    The paper's entropy functional, in the trials' own mode. Semigroup
+    mode: the window mean of log(n/#T), an estimate of the roof
+    functional E log(n/|T|), not of the walk's entropy h(mu). Group mode:
+    the plug-in log(3 - alpha_hat), since this functional has no
+    single-trajectory form over 2n letters.
     """
-    runs = _as_list(stats)
-    if mode == SEMIGROUP:
+    if runs[0].mode == SEMIGROUP:
         total = sum(t.log_roof_sum for t in runs)
         steps = sum(t.window_steps for t in runs)
         return -total / steps
-    if mode == GROUP:
-        alpha, _ = alpha_estimate(runs)
-        return math.log(3.0 - alpha)
-    raise ValueError(f"mode must be one of {MODES}")
+    alpha, _ = alpha_estimate(runs)
+    return math.log(3.0 - alpha)
 
 
-def alpha_estimate(stats) -> tuple[float, float]:
+def alpha_estimate(runs: list[WalkStats]) -> tuple[float, float]:
     """
     alpha = (p+ - p-)/2, the conditional probabilities that a reduction
     step grows / shrinks the roof, pooled over trials; second value is
     the binomial standard error. Requires at least one reduction, so it
     is undefined in semigroup mode.
     """
-    runs = _as_list(stats)
     red = sum(t.reductions_window for t in runs)
     if red == 0:
         raise ValueError("alpha is conditioned on reductions and none occurred")
@@ -361,12 +344,12 @@ def alpha_estimate(stats) -> tuple[float, float]:
     return alpha, math.sqrt(max(var, 0.0))
 
 
-def heap_profile_stats(stats) -> dict:
+def heap_profile_stats(runs: list[WalkStats]) -> dict:
     """
-    Deposit geometry of semigroup trials, averaged over the trials:
-    height_coeff = H n / N and density = N / (n H).
+    Deposit geometry of semigroup trials, averaged over the trials, under
+    run_walk's report keys: height_coeff = H n / N and heap_density =
+    N / (n H).
     """
-    runs = _as_list(stats)
     if any(t.mode != SEMIGROUP for t in runs):
         raise ValueError("heap profile applies to semigroup (deposition) runs")
     sample = runs[0]
@@ -376,7 +359,7 @@ def heap_profile_stats(stats) -> dict:
     densities = [t.steps / (t.n * t.height) for t in runs]
     return {
         "height_coeff": sum(coeffs) / len(coeffs),
-        "density": sum(densities) / len(densities),
+        "heap_density": sum(densities) / len(densities),
     }
 
 
@@ -403,7 +386,7 @@ def run_walk(params: WalkParams) -> tuple[dict, list[WalkStats]]:
         "drift_mean": drift_mean,
         "drift_se": drift_se,
         "roof_density": roof_density_estimate(runs),
-        "entropy_estimate": entropy_estimate(runs, params.mode),
+        "entropy_estimate": entropy_estimate(runs),
         "alpha_hat": None,
         "alpha_se": None,
         "height_coeff": None,
@@ -412,9 +395,7 @@ def run_walk(params: WalkParams) -> tuple[dict, list[WalkStats]]:
     if params.mode == GROUP:
         report["alpha_hat"], report["alpha_se"] = alpha_estimate(runs)
     else:
-        profile = heap_profile_stats(runs)
-        report["height_coeff"] = profile["height_coeff"]
-        report["heap_density"] = profile["density"]
+        report.update(heap_profile_stats(runs))
     return report, runs
 
 
@@ -460,25 +441,23 @@ def roof_chain_run(
     push lands one level above the highest top of its neighbourhood, so
     its column becomes strictly highest there, and no other column
     changes: the column joins (or stays in) the roof, its neighbours
-    leave it, and every other mark stays. The chain reads the letters of
-    the walk's trial 0, so with the same seed and burn-in ones_density
-    equals roof_density_estimate of that trial bit for bit, and final
-    its last snapshot's roof.
+    leave it, and every other mark stays. The chain is checked, and its
+    burn_in=None resolved, as the walk WalkParams(n, steps, 1, seed,
+    mode, burn_in=burn_in), and it reads that walk's trial 0 through
+    letter_stream. So with the same seed and burn-in ones_density equals
+    roof_density_estimate of that trial bit for bit, and final its last
+    snapshot's roof. The boundary, sample_every >= 0 and the chain's own
+    storage budget are the only checks it adds.
     """
-    if n < 1 or steps < 1:
-        raise ValueError("need n >= 1 and steps >= 1")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    params = WalkParams(n, steps, 1, seed, mode, burn_in=burn_in)
+    burn_in = params.burn_in
     if boundary not in (OPEN, PERIODIC):
         raise ValueError("boundary must be open or periodic")
-    _check_seed(seed)
-    if burn_in is None:
-        burn_in = min(10 * n, steps - 1)
-    if not 0 <= burn_in < steps:
-        raise ValueError("need 0 <= burn_in < steps")
-    samples = steps // sample_every if sample_every > 0 else 0
+    if sample_every < 0:
+        raise ValueError("sample_every must be >= 0")
+    samples = steps // sample_every if sample_every else 0
     _check_budget(steps, 3 * n + 2 * samples)
-    codes = _letter_codes(seed, 0, steps, n, mode).tolist()
+    codes = letter_stream(params, 0).tolist()
     shift = 1 if mode == GROUP else 0
 
     # eps[n] is the always-0 neighbour of the open ends

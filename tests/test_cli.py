@@ -76,6 +76,17 @@ def test_count_r_usage_errors(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["missing-dir", "directory"])
+def test_unwritable_out_exits_two(capsys, tmp_path, target):
+    out_path = str(tmp_path / target)
+    code, out, err = run(
+        capsys, "count", "--n", "3", "--k-max", "2", "--variant", "group", "--out", out_path
+    )
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
 def test_count_restricted_with_r(capsys):
     code, out, _ = run(
         capsys, "count", "--format", "json",
@@ -415,7 +426,7 @@ def test_spectrum_degree_budget_exits_two(capsys, argv):
     ],
 )
 def test_walk_budget_exits_two(capsys, monkeypatch, argv):
-    _forbid(monkeypatch, "_letter_codes")
+    _forbid(monkeypatch, "letter_stream")
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -395,7 +395,7 @@ def test_entropy_semigroup_vs_walk():
 
     params = walk.WalkParams(n=4, steps=60_000, trials=2, seed=5, mode=SEMIGROUP)
     _, runs = walk.run_walk(params)
-    measured = sum(walk.entropy_estimate(s, SEMIGROUP) for s in runs) / len(runs)
+    measured = sum(walk.entropy_estimate([s]) for s in runs) / len(runs)
     # H(mu_N)/N still carries a log(N)/N transient at N=10 (measured gap
     # 0.119), so the stationary rate is cross-validated through the
     # per-step increment H(mu_10) - H(mu_9), which has shed it

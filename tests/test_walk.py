@@ -37,7 +37,7 @@ def test_params_budget_rejects_before_allocation(monkeypatch):
     def boom(*args):
         raise AssertionError("letter codes were drawn")
 
-    monkeypatch.setattr(walk, "_letter_codes", boom)
+    monkeypatch.setattr(walk, "letter_stream", boom)
     for bad in (
         dict(n=1, steps=walk.MAX_STEPS + 1),
         dict(n=1, steps=2**64 - 1),
@@ -81,13 +81,13 @@ def test_letter_codes_match_the_modulo_formula():
                 0, 2**64, size=5000, dtype=np.uint64
             )
             old = (raw % (2 * n if mode == GROUP else n)).astype(np.int64)
-            new = walk._letter_codes(seed, stream, 5000, n, mode)
+            new = walk.letter_stream(WalkParams(n, 5000, 1, seed, mode), stream)
             assert new.dtype == np.int64 and new.nbytes == old.nbytes
             assert np.array_equal(new, old), (mode, n, seed, stream)
 
 
 def test_seeds_above_2_63_draw_their_own_streams():
-    first = lambda seed: walk._letter_codes(seed, 0, 10, 5, GROUP).tolist()  # noqa: E731
+    first = lambda seed: walk.letter_stream(WalkParams(5, 10, 1, seed, GROUP), 0).tolist()  # noqa: E731
     assert first(2**63 + 1) != first(2**63 + 2)
     assert first(2**63 + 1) != first(2**63)
     with warnings.catch_warnings():
@@ -98,12 +98,12 @@ def test_seeds_above_2_63_draw_their_own_streams():
 def test_letter_codes_pinned_below_2_63():
     # recorded with the earlier list key [seed, stream]; the 64-bit key
     # keeps every stream of a seed <= 2^63
-    assert walk._letter_codes(0, 0, 10, 5, GROUP).tolist() == [9, 8, 9, 6, 3, 5, 7, 6, 5, 0]
-    assert walk._letter_codes(0, 3, 10, 5, GROUP).tolist() == [3, 7, 6, 2, 2, 3, 1, 2, 7, 6]
-    assert walk._letter_codes(2**63 - 1, 0, 10, 5, GROUP).tolist() == [8, 5, 9, 1, 8, 9, 2, 7, 6, 0]
-    assert walk._letter_codes(2**63 - 1, 3, 10, 5, GROUP).tolist() == [4, 8, 4, 2, 2, 2, 7, 9, 7, 0]
-    assert walk._letter_codes(2**63, 0, 10, 5, GROUP).tolist() == [8, 8, 9, 9, 6, 8, 7, 2, 9, 4]
-    assert walk._letter_codes(2**63, 3, 10, 5, GROUP).tolist() == [8, 5, 8, 5, 4, 8, 5, 3, 2, 1]
+    assert walk.letter_stream(WalkParams(5, 10, 1, 0, GROUP), 0).tolist() == [9, 8, 9, 6, 3, 5, 7, 6, 5, 0]
+    assert walk.letter_stream(WalkParams(5, 10, 1, 0, GROUP), 3).tolist() == [3, 7, 6, 2, 2, 3, 1, 2, 7, 6]
+    assert walk.letter_stream(WalkParams(5, 10, 1, 2**63 - 1, GROUP), 0).tolist() == [8, 5, 9, 1, 8, 9, 2, 7, 6, 0]
+    assert walk.letter_stream(WalkParams(5, 10, 1, 2**63 - 1, GROUP), 3).tolist() == [4, 8, 4, 2, 2, 2, 7, 9, 7, 0]
+    assert walk.letter_stream(WalkParams(5, 10, 1, 2**63, GROUP), 0).tolist() == [8, 8, 9, 9, 6, 8, 7, 2, 9, 4]
+    assert walk.letter_stream(WalkParams(5, 10, 1, 2**63, GROUP), 3).tolist() == [8, 5, 8, 5, 4, 8, 5, 3, 2, 1]
 
 
 # --- run_trial -------------------------------------------------------------
@@ -269,13 +269,13 @@ def test_group_reduction_frequency_matches_roof():
 def test_roof_density_single_column():
     p = WalkParams(n=1, steps=500, trials=1, seed=0, mode=SEMIGROUP)
     st = walk.run_trial(p, 0)
-    assert walk.roof_density_estimate(st) == 1.0
+    assert walk.roof_density_estimate([st]) == 1.0
 
 
 def test_alpha_requires_reductions():
     p = WalkParams(n=3, steps=100, trials=1, seed=0, mode=SEMIGROUP)
     with pytest.raises(ValueError):
-        walk.alpha_estimate(walk.run_trial(p, 0))
+        walk.alpha_estimate([walk.run_trial(p, 0)])
 
 
 def test_alpha_bounds_and_plugin_entropy():
@@ -284,7 +284,7 @@ def test_alpha_bounds_and_plugin_entropy():
     alpha, se = walk.alpha_estimate(runs)
     assert -0.5 < alpha < 0.5
     assert se > 0
-    assert walk.entropy_estimate(runs, GROUP) == pytest.approx(
+    assert walk.entropy_estimate(runs) == pytest.approx(
         math.log(3 - alpha), abs=1e-12
     )
 
@@ -292,7 +292,7 @@ def test_alpha_bounds_and_plugin_entropy():
 def test_entropy_semigroup_near_log3():
     p = WalkParams(n=100, steps=200_000, trials=2, seed=7, mode=SEMIGROUP)
     _, runs = walk.run_walk(p)
-    assert abs(walk.entropy_estimate(runs, SEMIGROUP) - math.log(3)) < 0.03
+    assert abs(walk.entropy_estimate(runs) - math.log(3)) < 0.03
 
 
 def test_roof_fluctuations_shrink_with_n():
@@ -310,15 +310,15 @@ def test_roof_fluctuations_shrink_with_n():
 def test_heap_profile_single_column():
     p = WalkParams(n=1, steps=50, trials=1, seed=0, mode=SEMIGROUP, burn_in=0)
     with pytest.warns(UserWarning):
-        profile = walk.heap_profile_stats(walk.run_trial(p, 0))
-    assert profile["density"] == 1.0
+        profile = walk.heap_profile_stats([walk.run_trial(p, 0)])
+    assert profile["heap_density"] == 1.0
     assert profile["height_coeff"] == 1.0
 
 
 def test_heap_profile_rejects_group():
     p = WalkParams(n=3, steps=100, trials=1, seed=0, mode=GROUP)
     with pytest.raises(ValueError):
-        walk.heap_profile_stats(walk.run_trial(p, 0))
+        walk.heap_profile_stats([walk.run_trial(p, 0)])
 
 
 def test_run_walk_snapshots_trial_zero_only():
@@ -441,9 +441,13 @@ def test_chain_run_validation():
         dict(n=5, steps=100, seed=-1),
         dict(n=5, steps=100, seed=2**64),
         dict(n=5, steps=100, seed=1.5),
+        dict(n=5, steps=100, seed=1, sample_every=-1),
     ):
         with pytest.raises(ValueError):
             walk.roof_chain_run(**bad)
+    # the chain resolves its burn-in through the walk's own rule
+    assert walk.roof_chain_run(7, 1000, 0).burn_in == WalkParams(7, 1000, 1, 0, GROUP).burn_in == 70
+    assert walk.roof_chain_run(7, 5, 0).burn_in == WalkParams(7, 5, 1, 0, GROUP).burn_in == 4
 
 
 def test_chain_periodic_density_third():
@@ -495,7 +499,7 @@ def test_walk_conditional_drift_near_chain_form():
 
 def test_walk_and_chain_densities_agree():
     p = WalkParams(n=50, steps=200_000, trials=1, seed=14, mode=SEMIGROUP)
-    walk_density = walk.roof_density_estimate(walk.run_trial(p, 0))
+    walk_density = walk.roof_density_estimate([walk.run_trial(p, 0)])
     chain = walk.roof_chain_run(50, 100_000, seed=15, boundary="open")
     assert abs(walk_density - chain.ones_density) < 0.01
 
@@ -510,7 +514,7 @@ def test_semigroup_chain_is_the_walk_roof(n, steps, seed):
     p = WalkParams(n, steps, 1, seed, SEMIGROUP, snapshot_every=steps)
     stats = walk.run_trial(p, 0)
     chain = walk.roof_chain_run(n, steps, seed)
-    assert chain.ones_density == walk.roof_density_estimate(stats)
+    assert chain.ones_density == walk.roof_density_estimate([stats])
     assert chain.final == stats.snapshots[-1][2]
 
 
@@ -539,15 +543,20 @@ def test_chain_run_is_the_chain_model(mode, boundary):
 
 
 def test_walk_roof_mean_matches_exact_law():
-    # trial means of |T| over 48 independent semigroup trials, against the
-    # stationary mean (n + 1) / 3 of the permutation peak law
+    # trial means of |T| and |T|^2 over 48 independent semigroup trials,
+    # against the first two moments of the permutation peak law; the
+    # first is (n + 1) / 3
     n = 10
     _, runs = walk.run_walk(WalkParams(n=n, steps=20_000, trials=48, seed=12, mode=SEMIGROUP))
-    means = [t.roof_size_sum / t.window_steps for t in runs]
-    exact = float(rooflaw.roof_density(n) * n)
-    mean = sum(means) / len(means)
-    se = float(np.std(means, ddof=1)) / math.sqrt(len(means))
-    assert abs(mean - exact) <= 4 * se
+    moments = {
+        1: [t.roof_size_sum / t.window_steps for t in runs],
+        2: [t.roof_size_sq_sum / t.window_steps for t in runs],
+    }
+    for power, means in moments.items():
+        exact = float(sum(k**power * p for k, p in enumerate(rooflaw.roof_law(n))))
+        mean = sum(means) / len(means)
+        se = float(np.std(means, ddof=1)) / math.sqrt(len(means))
+        assert abs(mean - exact) <= 4 * se, power
 
 
 def test_walk_drift_matches_exact_finite_n():
@@ -557,16 +566,21 @@ def test_walk_drift_matches_exact_finite_n():
     assert abs(report["drift_mean"] - exact) <= 4 * report["drift_se"]
 
 
-def test_periodic_chain_density_matches_exact_third():
+@pytest.mark.parametrize("boundary,exact", [
+    (walk.PERIODIC, Fraction(1, 3)),
+    (walk.OPEN, Fraction(12 + 1, 3 * 12)),
+], ids=[walk.PERIODIC, walk.OPEN])
+def test_chain_density_matches_exact_law(boundary, exact):
     # on the periodic chain every column is a peak of a cyclic permutation
-    # of the last pushes with probability exactly 1/3
+    # of the last pushes with probability exactly 1/3; the open chain is
+    # the walk's roof, whose peak law pads both ends and gives (n+1)/(3n)
     densities = [
-        walk.roof_chain_run(12, 20_000, seed, boundary=walk.PERIODIC).ones_density
+        walk.roof_chain_run(12, 20_000, seed, boundary=boundary).ones_density
         for seed in range(24)
     ]
     mean = sum(densities) / len(densities)
     se = float(np.std(densities, ddof=1)) / math.sqrt(len(densities))
-    assert abs(mean - 1 / 3) <= 4 * se
+    assert abs(mean - float(exact)) <= 4 * se
 
 
 def test_roof_law_is_the_permutation_peak_law():
