@@ -1,12 +1,21 @@
 """
-Command-line front end. Every run is fully determined by its flags
-(seed included); outputs are byte-identical across repeated runs.
+Command-line front end: parse the flags, call the library, print once.
+Every run is fully determined by its flags (seed included); outputs are
+byte-identical across repeated runs.
 
 Subcommands: count, volume, spectrum, walk, roof-chain, oracle-verify,
-braid-bounds, inequality. CSV output uses Unix newlines, no quoting,
-a `# run:` comment echoing the flags as given (a defaulted --burn-in
-prints burn-in=None), and a header row. JSON output carries the
-documented keys with floats rounded to 12 significant digits. Exit
+braid-bounds, inequality. Each handler returns its record, and
+run_command prints it: a dict as JSON with the documented keys and
+floats rounded to 12 significant digits; a (header, rows) pair as CSV
+with Unix newlines, no quoting, and a `# run:` comment that echoes the
+flags as given, in the order the parser declares them (a defaulted
+--burn-in prints burn-in=None). braid-bounds and inequality print JSON
+only. oracle-verify prints its own progress lines, takes no --format or
+--out, and returns its exit code.
+
+The library checks every flag's range and budget before any work, so an
+out-of-range flag exits 2 with the library's `error:` message; only
+oracle-verify's caps (n-max <= 4, k-max <= 7) are the parser's. Exit
 codes: 0 success, 1 oracle-verify mismatch, 2 usage or budget error or
 an --out path that cannot be written.
 """
@@ -42,109 +51,67 @@ def _emit_json(obj: dict, out_path: str | None) -> None:
     _emit(json.dumps(rounded, indent=2) + "\n", out_path)
 
 
-def _run_line(args: argparse.Namespace, fields: list[str]) -> str:
-    parts = [args.subcommand]
-    for name in fields:
-        parts.append(f"{name.replace('_', '-')}={getattr(args, name)}")
-    return "# run: " + " ".join(parts)
+def _run_line(args: argparse.Namespace) -> str:
+    flags = (
+        f"{name.replace('_', '-')}={value}"
+        for name, value in vars(args).items()
+        if name not in ("subcommand", "handler", "out")
+    )
+    return " ".join(["# run:", args.subcommand, *flags])
 
 
-def _csv(comment: str, header: str, rows, out_path: str | None) -> None:
-    lines = [comment, header]
-    lines.extend(",".join(str(x) for x in row) for row in rows)
+def _csv(args: argparse.Namespace, header: str, rows, out_path: str | None) -> None:
+    lines = [_run_line(args), header, *(",".join(map(str, row)) for row in rows)]
     _emit("\n".join(lines) + "\n", out_path)
-
-
-def _positive(kind, name, minimum=1, maximum=None):
-    def parse(text: str):
-        value = kind(text)
-        if value < minimum or (maximum is not None and value > maximum):
-            hi = f"..{maximum}" if maximum is not None else ""
-            raise argparse.ArgumentTypeError(
-                f"{name} must be in range {minimum}{hi or '+'}, got {text}"
-            )
-        return value
-
-    return parse
 
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args):
     counts = counting.count_words_range(args.n, args.k_max, args.variant, args.r)
-    comment = _run_line(args, ["variant", "n", "k_max", "r", "format"])
     if args.format == "csv":
-        rows = [(args.variant, args.n, k + 1, c) for k, c in enumerate(counts)]
-        _csv(comment, "variant,n,K,count", rows, args.out)
-    else:
-        _emit_json(
-            {
-                "variant": args.variant,
-                "n": args.n,
-                "k_max": args.k_max,
-                "r": args.r,
-                "counts": [str(c) for c in counts],  # lossless decimal
-            },
-            args.out,
-        )
-    return 0
+        return "variant,n,K,count", [(args.variant, args.n, k, c) for k, c in enumerate(counts, 1)]
+    return {
+        "variant": args.variant,
+        "n": args.n,
+        "k_max": args.k_max,
+        "r": args.r,
+        "counts": [str(c) for c in counts],  # lossless decimal
+    }
 
 
-def _cmd_volume(args) -> int:
+def _cmd_volume(args):
     report = counting.volume_report(args.n, args.k_max, args.variant, args.r)
-    comment = _run_line(args, ["variant", "n", "k_max", "r", "format"])
     if args.format == "csv":
-        rows = [
-            (args.variant, args.n, k + 2, f"{lr:.12g}")
-            for k, lr in enumerate(report.log_ratios)
-        ]
-        _csv(comment, "variant,n,K,log_ratio", rows, args.out)
-    else:
-        _emit_json(
-            {
-                "variant": report.variant,
-                "n": report.n,
-                "k_max": report.k_max,
-                "r": report.r,
-                "log_ratio_last": report.log_ratios[-1],
-                "ratio_last": report.ratio_last,
-                "ratio_accelerated": report.ratio_accelerated,
-                "finite_n_limit": report.finite_n_limit,
-                "asymptotic_limit": report.asymptotic_limit,
-            },
-            args.out,
-        )
-    return 0
+        rows = [(args.variant, args.n, k, f"{x:.12g}") for k, x in enumerate(report.log_ratios, 2)]
+        return "variant,n,K,log_ratio", rows
+    return {
+        "variant": report.variant,
+        "n": report.n,
+        "k_max": report.k_max,
+        "r": report.r,
+        "log_ratio_last": report.log_ratios[-1],
+        "ratio_last": report.ratio_last,
+        "ratio_accelerated": report.ratio_accelerated,
+        "finite_n_limit": report.finite_n_limit,
+        "asymptotic_limit": report.asymptotic_limit,
+    }
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args):
     eigs = counting.spectrum_numeric(args.n)
-    comment = _run_line(args, ["n", "format"])
     if args.format == "csv":
-        rows = [(args.n, k + 1, f"{lam:.12g}") for k, lam in enumerate(eigs)]
-        _csv(comment, "n,k,eigenvalue", rows, args.out)
-    else:
-        dev2 = max(
-            abs(a - b)
-            for a, b in zip(eigs, counting.cosine_formula_spectrum(args.n, 2))
-        )
-        dev1 = max(
-            abs(a - b)
-            for a, b in zip(eigs, counting.cosine_formula_spectrum(args.n, 1))
-        )
-        obj = {
-            "n": args.n,
-            "eigenvalues": [_sig12(x) for x in eigs],
-            "cosine_max_dev_offset2": _sig12(dev2),
-            "cosine_max_dev_offset1": _sig12(dev1),
-        }
-        _emit_json(obj, args.out)
-    return 0
+        return "n,k,eigenvalue", [(args.n, k, f"{lam:.12g}") for k, lam in enumerate(eigs, 1)]
+    obj = {"n": args.n, "eigenvalues": [_sig12(x) for x in eigs]}
+    for offset in (2, 1):
+        cosine = counting.cosine_formula_spectrum(args.n, offset)
+        obj[f"cosine_max_dev_offset{offset}"] = max(abs(a - b) for a, b in zip(eigs, cosine))
+    return obj
 
 
-def _cmd_walk(args) -> int:
+def _cmd_walk(args):
     if args.format == "csv" and args.snapshot_every == 0:
         raise ValueError(
             "csv walk output is the roof-snapshot table; set --snapshot-every"
@@ -161,24 +128,19 @@ def _cmd_walk(args) -> int:
         burn_in=args.burn_in,
     )
     report, runs = walk.run_walk(params)
-    snap_rows = [
+    snapshots = "step,column,top_level,in_roof", [
         (step, col + 1, tops[col], roof[col])
         for step, tops, roof in runs[0].snapshots
         for col in range(params.n)
     ]
-    comment = _run_line(
-        args, ["mode", "n", "steps", "trials", "seed", "burn_in", "snapshot_every", "format"]
-    )
     if args.format == "csv":
-        _csv(comment, "step,column,top_level,in_roof", snap_rows, args.out)
-        return 0
-    _emit_json(report, args.out)
+        return snapshots
     if args.snapshot_every > 0:
-        _csv(comment, "step,column,top_level,in_roof", snap_rows, args.out + ".snapshots.csv")
-    return 0
+        _csv(args, *snapshots, args.out + ".snapshots.csv")
+    return report
 
 
-def _cmd_roof_chain(args) -> int:
+def _cmd_roof_chain(args):
     if args.format == "csv" and args.snapshot_every == 0:
         raise ValueError(
             "csv roof-chain output is the ones time series; set --snapshot-every"
@@ -192,77 +154,64 @@ def _cmd_roof_chain(args) -> int:
         burn_in=args.burn_in,
         sample_every=args.snapshot_every,
     )
-    comment = _run_line(
-        args, ["mode", "n", "steps", "seed", "boundary", "burn_in", "snapshot_every", "format"]
-    )
     if args.format == "csv":
-        _csv(comment, "step,ones", result.series, args.out)
-    else:
-        _emit_json(
-            {
-                "mode": result.mode,
-                "n": result.n,
-                "steps": result.steps,
-                "seed": result.seed,
-                "boundary": result.boundary,
-                "burn_in": result.burn_in,
-                "ones_density": result.ones_density,
-                "final_ones": sum(result.final),
-            },
-            args.out,
-        )
-    return 0
-
-
-def _grid_check(failures, label, got, expected) -> None:
-    if got != expected:
-        failures.append(f"{label}: enumerated {got}, formula {expected}")
+        return "step,ones", result.series
+    return {
+        "mode": result.mode,
+        "n": result.n,
+        "steps": result.steps,
+        "seed": result.seed,
+        "boundary": result.boundary,
+        "burn_in": result.burn_in,
+        "ones_density": result.ones_density,
+        "final_ones": sum(result.final),
+    }
 
 
 def _cmd_oracle_verify(args) -> int:
-    failures: list[str] = []
-    for variant in (GROUP, SEMIGROUP, PROJECTIVE):
+    checks = []  # (label, enumerated, formula)
+    grids = [(variant, None, args.k_max) for variant in (GROUP, SEMIGROUP, PROJECTIVE)]
+    grids += [(RESTRICTED, r, min(args.k_max, 6)) for r in range(2, 6)]
+    for variant, r, k_max in grids:
+        name = variant if r is None else f"{variant} r={r}"
         for n in range(1, args.n_max + 1):
-            counts = oracle_mod.ball_counts(n, args.k_max, variant)
-            expected = counting.count_words_range(n, args.k_max, variant)
-            for K in range(1, args.k_max + 1):
-                _grid_check(failures, f"{variant} n={n} K={K}", counts.get(K, 0), expected[K - 1])
-            print(f"checked {variant:10s} n={n} K<={args.k_max}")
-    res_kmax = min(args.k_max, 6)
-    for r in range(2, 6):
-        for n in range(1, min(args.n_max, 4) + 1):
-            counts = oracle_mod.ball_counts(n, res_kmax, RESTRICTED, r=r)
-            expected = counting.count_words_range(n, res_kmax, RESTRICTED, r=r)
-            for K in range(1, res_kmax + 1):
-                _grid_check(
-                    failures, f"restricted r={r} n={n} K={K}", counts.get(K, 0), expected[K - 1]
-                )
-        print(f"checked restricted r={r} n<={min(args.n_max, 4)} K<={res_kmax}")
-    for r in range(2, 8):
-        for K in range(1, 13):
-            for s in range(1, K + 1):
-                _grid_check(
-                    failures,
-                    f"N_{r}({K},{s})",
-                    oracle_mod.brute_restricted(r, K, s),
-                    counting.restricted_syllable_count(r, K, s),
-                )
+            counts = oracle_mod.ball_counts(n, k_max, variant, r)
+            expected = counting.count_words_range(n, k_max, variant, r)
+            checks += [
+                (f"{name} n={n} K={K}", counts.get(K, 0), e) for K, e in enumerate(expected, 1)
+            ]
+            if r is None:
+                print(f"checked {variant:10s} n={n} K<={k_max}")
+        if r is not None:
+            print(f"checked {name} n<={args.n_max} K<={k_max}")
+    checks += [
+        (
+            f"N_{r}({K},{s})",
+            oracle_mod.brute_restricted(r, K, s),
+            counting.restricted_syllable_count(r, K, s),
+        )
+        for r in range(2, 8)
+        for K in range(1, 13)
+        for s in range(1, K + 1)
+    ]
     print("checked syllable counts r<=7 K<=12")
+    failures = [
+        f"MISMATCH {label}: enumerated {got}, formula {want}"
+        for label, got, want in checks
+        if got != want
+    ]
     if failures:
-        for line in failures:
-            print(f"MISMATCH {line}", file=sys.stderr)
+        print("\n".join(failures), file=sys.stderr)
         return 1
     print("oracle-verify: all comparisons passed")
     return 0
 
 
-def _cmd_braid_bounds(args) -> int:
-    report = braid.bounds_report(args.n, args.alpha)
-    _emit_json(dataclasses.asdict(report), args.out)
-    return 0
+def _cmd_braid_bounds(args):
+    return dataclasses.asdict(braid.bounds_report(args.n, args.alpha))
 
 
-def _cmd_inequality(args) -> int:
+def _cmd_inequality(args):
     explicit = [args.v, args.l, args.entropy]
     if any(x is not None for x in explicit):
         if not all(x is not None for x in explicit):
@@ -272,13 +221,12 @@ def _cmd_inequality(args) -> int:
         v = braid.LOG7
         l = braid.drift_bounds(args.alpha)[1]
         h = math.log(3.0 - args.alpha)
-    report = braid.inequality_report(v, l, h)
-    _emit_json(dataclasses.asdict(report), args.out)
-    return 0
+    return dataclasses.asdict(braid.inequality_report(v, l, h))
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parser. vars(args) keeps each subparser's declaration order, which is
+# the order of the `# run:` line.
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -288,92 +236,84 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    u32 = _positive(int, "value", 1, 2**32 - 1)
-    u64 = _positive(int, "value", 1, 2**64 - 1)
-    seed64 = _positive(int, "seed", 0, 2**64 - 1)
+    def add_output(p, handler, formats=("csv", "json")):
+        p.add_argument("--format", choices=formats, default=formats[0])
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.set_defaults(handler=handler)
 
-    def add_common(p, out=True):
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        if out:
-            p.add_argument("--out", default=None, help="output path (default stdout)")
-
-    p = sub.add_parser("count", help="exact element counts by reduced length")
-    p.add_argument("--n", type=u32, required=True)
-    p.add_argument("--k-max", type=u32, required=True)
-    p.add_argument("--variant", choices=VARIANTS, required=True)
-    p.add_argument("--r", type=_positive(int, "r", 2), default=None)
-    add_common(p)
-    p.set_defaults(handler=_cmd_count)
-
-    p = sub.add_parser("volume", help="successive log-ratio volume diagnostics")
-    p.add_argument("--n", type=u32, required=True)
-    p.add_argument("--k-max", type=_positive(int, "k-max", 2), required=True)
-    p.add_argument("--variant", choices=VARIANTS, required=True)
-    p.add_argument("--r", type=_positive(int, "r", 2), default=None)
-    add_common(p)
-    p.set_defaults(handler=_cmd_volume)
+    for name, handler, text in (
+        ("count", _cmd_count, "exact element counts by reduced length"),
+        ("volume", _cmd_volume, "successive log-ratio volume diagnostics"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--variant", choices=VARIANTS, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--k-max", type=int, required=True)
+        p.add_argument("--r", type=int, default=None)
+        add_output(p, handler)
 
     p = sub.add_parser("spectrum", help="eigenvalues of the succession matrix")
-    p.add_argument("--n", type=u32, required=True)
-    add_common(p)
-    p.set_defaults(handler=_cmd_spectrum)
+    p.add_argument("--n", type=int, required=True)
+    add_output(p, _cmd_spectrum)
 
     p = sub.add_parser("walk", help="seeded Monte Carlo walk")
     p.add_argument("--mode", choices=(GROUP, SEMIGROUP), required=True)
-    p.add_argument("--n", type=u32, required=True)
-    p.add_argument("--steps", type=u64, required=True)
-    p.add_argument("--trials", type=u32, default=1)
-    p.add_argument("--seed", type=seed64, default=0)
-    p.add_argument("--burn-in", type=_positive(int, "burn-in", 0), default=None,
-                   help="window discard (default 10*n)")
-    p.add_argument("--snapshot-every", type=_positive(int, "snapshot-every", 0), default=0)
-    add_common(p)
-    p.set_defaults(handler=_cmd_walk)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--burn-in", type=int, default=None, help="window discard (default 10*n)")
+    p.add_argument("--snapshot-every", type=int, default=0)
+    add_output(p, _cmd_walk)
 
     p = sub.add_parser("roof-chain", help="roof indicator Markov chain")
-    p.add_argument("--n", type=u32, required=True)
-    p.add_argument("--steps", type=u64, required=True)
-    p.add_argument("--seed", type=seed64, default=0)
     p.add_argument("--mode", choices=(GROUP, SEMIGROUP), default=SEMIGROUP)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--boundary", choices=(walk.OPEN, walk.PERIODIC), default=walk.OPEN)
-    p.add_argument("--burn-in", type=_positive(int, "burn-in", 0), default=None)
-    p.add_argument("--snapshot-every", type=_positive(int, "snapshot-every", 0), default=0)
-    add_common(p)
-    p.set_defaults(handler=_cmd_roof_chain)
+    p.add_argument("--burn-in", type=int, default=None)
+    p.add_argument("--snapshot-every", type=int, default=0)
+    add_output(p, _cmd_roof_chain)
 
     p = sub.add_parser("oracle-verify", help="formulas vs brute-force enumeration")
-    p.add_argument("--n-max", type=_positive(int, "n-max", 1, 4), default=4)
-    p.add_argument("--k-max", type=_positive(int, "k-max", 1, 7), default=7)
+    p.add_argument("--n-max", type=int, choices=range(1, 5), default=4)
+    p.add_argument("--k-max", type=int, choices=range(1, 8), default=7)
     p.set_defaults(handler=_cmd_oracle_verify)
 
     p = sub.add_parser("braid-bounds", help="volume and drift bounds for B_{n+1}")
-    p.add_argument("--n", type=_positive(int, "n", 2), required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=float, default=0.0)
-    add_common(p)
-    p.set_defaults(handler=_cmd_braid_bounds)
+    add_output(p, _cmd_braid_bounds, formats=("json",))
 
     p = sub.add_parser("inequality", help="l*v >= h discrepancy report")
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--v", type=float, default=None)
     p.add_argument("--l", type=float, default=None)
     p.add_argument("--h", dest="entropy", type=float, default=None)
-    add_common(p)
-    p.set_defaults(handler=_cmd_inequality)
+    add_output(p, _cmd_inequality, formats=("json",))
 
     return parser
 
 
 def run_command(argv) -> int:
-    parser = _build_parser()
+    """Parse argv, run the handler and print its record; returns the exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.handler(args)
+        record = args.handler(args)
+        if isinstance(record, int):
+            return record
+        if isinstance(record, dict):
+            _emit_json(record, args.out)
+        else:
+            _csv(args, *record, args.out)
     except (ValueError, OSError, oracle_mod.BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def main() -> None:

@@ -317,6 +317,8 @@ def entropy_estimate(runs: list[WalkStats]) -> float:
     the plug-in log(3 - alpha_hat), since this functional has no
     single-trajectory form over 2n letters.
     """
+    if not runs:
+        raise ValueError("no trials")
     if runs[0].mode == SEMIGROUP:
         total = sum(t.log_roof_sum for t in runs)
         steps = sum(t.window_steps for t in runs)
@@ -350,6 +352,8 @@ def heap_profile_stats(runs: list[WalkStats]) -> dict:
     run_walk's report keys: height_coeff = H n / N and heap_density =
     N / (n H).
     """
+    if not runs:
+        raise ValueError("no trials")
     if any(t.mode != SEMIGROUP for t in runs):
         raise ValueError("heap profile applies to semigroup (deposition) runs")
     sample = runs[0]

@@ -485,6 +485,70 @@ def test_usage_errors_exit_two(capsys, argv):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["count", "--variant", "group", "--n", "3", "--k-max", "2"],
+         "# run: count variant=group n=3 k-max=2 r=None format=csv"),
+        (["count", "--variant", "restricted", "--r", "3", "--n", "3", "--k-max", "2"],
+         "# run: count variant=restricted n=3 k-max=2 r=3 format=csv"),
+        (["volume", "--variant", "semigroup", "--n", "2", "--k-max", "4"],
+         "# run: volume variant=semigroup n=2 k-max=4 r=None format=csv"),
+        (["spectrum", "--n", "2"], "# run: spectrum n=2 format=csv"),
+        (["walk", "--mode", "semigroup", "--n", "2", "--steps", "200", "--snapshot-every", "100"],
+         "# run: walk mode=semigroup n=2 steps=200 trials=1 seed=0 burn-in=None "
+         "snapshot-every=100 format=csv"),
+        (["walk", "--mode", "group", "--n", "2", "--steps", "200", "--snapshot-every", "100",
+          "--burn-in", "7", "--seed", "3"],
+         "# run: walk mode=group n=2 steps=200 trials=1 seed=3 burn-in=7 "
+         "snapshot-every=100 format=csv"),
+        (["roof-chain", "--n", "5", "--steps", "200", "--snapshot-every", "50"],
+         "# run: roof-chain mode=semigroup n=5 steps=200 seed=0 boundary=open burn-in=None "
+         "snapshot-every=50 format=csv"),
+    ],
+)
+def test_csv_run_line(capsys, argv, line):
+    # the flags in the parser's declaration order, whatever order they were given in
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--variant", "group", "--n", "0", "--k-max", "2"],
+        ["count", "--variant", "restricted", "--r", "1", "--n", "3", "--k-max", "2"],
+        ["volume", "--variant", "group", "--n", "3", "--k-max", "1"],
+        ["spectrum", "--n", "0"],
+        ["walk", "--mode", "group", "--n", "3", "--steps", "0", "--format", "json"],
+        ["walk", "--mode", "group", "--n", "3", "--steps", "10", "--trials", "0", "--format", "json"],
+        ["walk", "--mode", "group", "--n", "3", "--steps", "10", "--seed", "-1", "--format", "json"],
+        ["walk", "--mode", "group", "--n", "3", "--steps", "10", "--seed", str(2**64), "--format", "json"],
+        ["walk", "--mode", "group", "--n", "3", "--steps", "10", "--burn-in", "-1", "--format", "json"],
+        ["walk", "--mode", "group", "--n", "3", "--steps", "10", "--snapshot-every", "-1"],
+        ["roof-chain", "--n", "3", "--steps", "10", "--snapshot-every", "-1", "--format", "csv"],
+        ["braid-bounds", "--n", "1"],
+    ],
+)
+def test_out_of_range_flag_is_the_library_error(capsys, argv):
+    # the parser takes any integer; the library checks the range before any work
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [["braid-bounds", "--n", "3"], ["inequality"]])
+def test_json_only_subcommands_reject_csv(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 2
+    assert out == ""
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)
+
+
 def test_walk_burn_in_validation_maps_to_two(capsys):
     code, _, err = run(
         capsys, "walk", "--format", "json", "--mode", "semigroup",

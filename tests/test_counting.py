@@ -9,6 +9,7 @@ from locfree import core, counting
 from locfree.counting import GROUP, PROJECTIVE, RESTRICTED, SEMIGROUP
 
 import densematrix
+import graphproduct
 
 
 # --- succession operator --------------------------------------------------
@@ -97,6 +98,17 @@ def test_range_matches_single_calls():
             assert counting.count_words_range(n, k_max, variant, r) == dense, (variant, r, n)
             singles = [counting.count_words(n, k, variant, r) for k in range(1, k_max + 1)]
             assert singles == dense, (variant, r, n)
+
+
+@pytest.mark.parametrize(
+    "variant, r",
+    [(GROUP, None), (SEMIGROUP, None), (PROJECTIVE, None), *((RESTRICTED, r) for r in range(2, 7))],
+)
+def test_counts_match_graph_product_series(variant, r):
+    # far past the dense matrix powers: the coefficients of Chiswell's series
+    for n, k_max in ((1, 10), (7, 40), (60, 200)):
+        want = graphproduct.count_words_range(n, k_max, variant, r)
+        assert counting.count_words_range(n, k_max, variant, r) == want, (n, k_max)
 
 
 def test_variant_validation():

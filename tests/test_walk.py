@@ -278,6 +278,16 @@ def test_alpha_requires_reductions():
         walk.alpha_estimate([walk.run_trial(p, 0)])
 
 
+@pytest.mark.parametrize(
+    "estimator",
+    ["drift_estimate", "roof_density_estimate", "entropy_estimate", "alpha_estimate",
+     "heap_profile_stats"],
+)
+def test_estimators_reject_no_trials(estimator):
+    with pytest.raises(ValueError):
+        getattr(walk, estimator)([])
+
+
 def test_alpha_bounds_and_plugin_entropy():
     p = WalkParams(n=20, steps=200_000, trials=2, seed=30, mode=GROUP)
     _, runs = walk.run_walk(p)
