@@ -263,6 +263,21 @@ def test_lambda_max_is_top_of_spectrum():
         assert counting.lambda_max(n).hex() == counting.spectrum_numeric(n)[0].hex()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 30])
+def test_lambda_max_from_independence_polynomial(n):
+    # 1/(lambda_max + 1) is the smallest positive root of the independence
+    # polynomial I(P_n, -t) = sum_k C(n-k+1, k) (-t)^k, isolated exactly
+    # (floats lose that root to cancellation by n = 60); lambda_max must
+    # be 1/root - 1 correctly rounded, with no sign count involved
+    import sympy
+
+    t = sympy.Symbol("t")
+    poly = sympy.Poly(sum(math.comb(n - k + 1, k) * (-t) ** k for k in range(n + 2)), t)
+    root = min(x for x in poly.real_roots() if x > 0)
+    q = sympy.Rational(sympy.N(1 / root - 1, 60))
+    assert counting.lambda_max(n) == float(Fraction(int(q.p), int(q.q)))
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_sign_count_matches_sympy_and_recursion(n):
     import sympy

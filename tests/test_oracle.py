@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -199,6 +200,24 @@ def test_orbit_mass_is_a_multiple_of_orbit_size(mode):
 
 
 @pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
+def test_path_counts_sweep_only_live_orbits(mode):
+    # the reference sweep steps from every orbit at every step; no orbit
+    # deeper than t may carry mass at step t, so the prefix sweep of
+    # path_counts must give the same rows
+    for n in (1, 2, 3, 4):
+        table = oracle._Interned(n, 5, mode)
+        full = [[0] * len(table.states) for _ in range(6)]
+        full[0][0] = 1
+        for t in range(5):
+            for sid, row in enumerate(table.succ):
+                for tid in row:
+                    full[t + 1][tid] += full[t][sid]
+        for t, masses in enumerate(full):
+            assert not any(c for c, d in zip(masses, table.depth_of) if d > t), (n, t)
+        assert table.path_counts() == full, n
+
+
+@pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
 def test_quotient_drift_and_entropy_equal_full_table(mode):
     # the reference is the per-state distribution of every letter word
     budget = 100_000
@@ -238,6 +257,22 @@ def test_quotient_budget_counts_orbits():
     assert sum(oracle.ball_counts(2, 3, GROUP, max_states=9).values()) == 53
     with pytest.raises(oracle.BudgetExceeded):
         oracle.ball_counts(2, 3, GROUP, max_states=8)
+
+
+def _distribution_digest(dist):
+    items = sorted((repr(k), p.numerator, p.denominator) for k, p in dist.probabilities.items())
+    return hashlib.sha256(repr(items).encode()).hexdigest()
+
+
+def test_distribution_digests_pinned():
+    # recorded before the path counts swept only live orbits and the
+    # distribution shared its Fractions: keys and values stay exactly
+    assert _distribution_digest(oracle.exact_distribution(4, 10, SEMIGROUP)) == (
+        "3b86d385c745c74a95e693ced7a85d8267f8daf14e7415f44f241d7609c2439c"
+    )
+    assert _distribution_digest(oracle.exact_distribution(3, 7, GROUP)) == (
+        "8749b81c79801bba43902d92ed374aa88b1c660eda57f598b6bfea00140a5987"
+    )
 
 
 def test_distribution_two_steps():
@@ -378,6 +413,23 @@ def test_entropy_single_step():
         for steps in (0, -1):
             with pytest.raises(ValueError, match="N must be >= 1"):
                 dp(2, steps, GROUP)
+
+
+@pytest.mark.parametrize("n, N, mode, last", [
+    (2, 6, GROUP, "0x1.d8b4f61c9d464p-1"),
+    (3, 5, SEMIGROUP, "0x1.e46de154a6710p-1"),
+])
+def test_entropy_series_is_each_exact_entropy(n, N, mode, last):
+    # `last` was recorded from exact_entropy(n, N) before the series existed
+    series = oracle.exact_entropy_series(n, N, mode)
+    assert series == [oracle.exact_entropy(n, t, mode) for t in range(1, N + 1)]
+    assert series[-1].hex() == last
+
+
+def test_entropy_series_free_group():
+    series = oracle.exact_entropy_series(2, 8, GROUP)
+    for t, h in enumerate(series, start=1):
+        assert h == pytest.approx(freechain.entropy_rate(t), abs=1e-12), t
 
 
 def test_entropy_free_group_value():
