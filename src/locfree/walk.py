@@ -34,12 +34,14 @@ relaxation scale):
 Determinism: the letter stream of trial t is Philox counter-based
 random bits keyed by the 64-bit pair (seed, t), reduced modulo the
 letter count (bias below 2^-53 for n <= 2^10, since 2n divides into
-2^64 that evenly). Identical (params, trial_index) give bit-identical
-WalkStats on every platform: the step kernel manipulates integers only,
-and every floating point statistic is derived afterwards from those
-integers in a fixed order. One step kernel serves both modes (a
-positive letter never cancels) and gives each push its own storage
-slot, so it cannot overflow.
+2^64 that evenly). The walks draw it in chunks of CHUNK codes from one
+Philox generator; Philox is counter-based, so these are the codes of a
+one-shot draw of the whole stream, bit for bit. Identical (params,
+trial_index) give bit-identical WalkStats on every platform: the step
+kernel manipulates integers only, and every floating point statistic is
+derived afterwards from those integers in a fixed order. One step
+kernel serves both modes (a positive letter never cancels) and gives
+each push its own storage slot, so it cannot overflow.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -56,13 +59,18 @@ from locfree.core import GROUP, SEMIGROUP, MODES
 OPEN = "open"
 PERIODIC = "periodic"
 
-# Budgets per trial and per run, checked before any allocation. Peak RSS
-# measured with Python 3.11 on x86-64 Linux: a trial takes 30 B per step
-# at n = 100 and 62 B at n = 10^5 (letter codes above 256 are int
-# objects), and `walk --format csv` up to 118 B per stored integer: about
-# 0.6 + 1.2 GB at the bounds.
+# Budgets per trial and per run, checked before any allocation. A trial
+# holds its two 4-byte slot arrays and one chunk of decoded letters; the
+# roof chain only the chunk. Peak RSS growth over 10^6 group steps,
+# measured with Python 3.11 on x86-64 Linux: 8.0 B per step at n = 100
+# and 10.5 B at n = 10^5 for a trial, none for the chain; `walk --format
+# csv` takes up to 118 B per stored integer: about 0.1 + 1.2 GB at the
+# bounds.
 MAX_STEPS = 10_000_000
 MAX_SLOTS = 10_000_000
+
+# Letter codes per draw of a trial's Philox generator (see _chunks).
+CHUNK = 1 << 13
 
 
 def _check_budget(steps: int, slots: int) -> None:
@@ -155,46 +163,97 @@ class WalkStats:
         return self.final_length / self.steps
 
 
+def _chunks(params: WalkParams, trial_index: int):
+    """
+    The letter codes of one trial, CHUNK at a time, drawn from one
+    Philox generator keyed by the 64-bit pair (seed, trial_index); the
+    chunks concatenate to the one-shot draw (see the module docstring).
+    """
+    bitgen = np.random.Philox(key=np.array([params.seed, trial_index], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    base = np.uint64(2 * params.n if params.mode == GROUP else params.n)
+    for start in range(0, params.steps, CHUNK):
+        raw = gen.integers(0, 2**64, size=min(CHUNK, params.steps - start), dtype=np.uint64)
+        # in place; the codes fit in int64
+        np.remainder(raw, base, out=raw)
+        yield raw.view(np.int64)
+
+
 def letter_stream(params: WalkParams, trial_index: int) -> np.ndarray:
     """
     The deterministic letter codes of one trial, Philox keyed by the
     64-bit pair (seed, trial_index): values in [0, 2n) for the group
     (column = code // 2 + 1, sign = + for even codes), in [0, n) for the
-    semigroup (column = code + 1). roof_chain_run reads trial 0's codes.
+    semigroup (column = code + 1). The walks read the same codes chunk
+    by chunk and never hold this whole array.
     """
-    bitgen = np.random.Philox(key=np.array([params.seed, trial_index], dtype=np.uint64))
-    raw = np.random.Generator(bitgen).integers(0, 2**64, size=params.steps, dtype=np.uint64)
-    # in place, so one step-length array is alive; the codes fit in int64
-    np.remainder(raw, np.uint64(2 * params.n if params.mode == GROUP else params.n), out=raw)
-    return raw.view(np.int64)
+    return np.concatenate(list(_chunks(params, trial_index)))
+
+
+def _runs(params: WalkParams, trial_index: int, every: int):
+    """
+    The trial's letters as consecutive runs (end, letters): the run
+    covers the steps up to `end`, and letters iterates over its
+    (column, sign) pairs, columns 1-based and signs +-1. A chunk is
+    decoded with numpy into two lists, and its runs are consecutive
+    slices of one zip over them, so nothing is copied. A run ends at
+    each chunk's end, at burn_in and at every multiple of `every` (none
+    if every is 0), so no run crosses burn_in and the callers test the
+    window and their samples once per run, not once per step. Each run
+    must be used up before the next is asked for.
+    """
+    shift = 1 if params.mode == GROUP else 0
+    burn_in = params.burn_in
+    step = 0
+    for codes in _chunks(params, trial_index):
+        # in place where possible: one chunk-sized temporary at a time
+        signs = codes & shift
+        signs *= -2
+        signs += 1
+        signs = signs.tolist()
+        codes >>= shift
+        codes += 1
+        cols = codes.tolist()
+        pairs = zip(cols, signs)
+        end = step + len(cols)
+        while step < end:
+            stop = burn_in if step < burn_in < end else end
+            if every:
+                stop = min(stop, step - step % every + every)
+            yield stop, islice(pairs, stop - step)
+            step = stop
+        # the caller still holds the last run: free the lists before the next draw
+        cols.clear()
+        signs.clear()
 
 
 # ---------------------------------------------------------------------------
 # The step kernel: integer state in flat buffers. Do not add floating point:
 # the bit identity of WalkStats across platforms depends on it.
 #
-# shift = 1 reads group codes (column code >> 1, sign + for even codes),
-# shift = 0 semigroup codes (sign always +, so no cancellation). The k-th
-# push takes slot k: cells[k] is its level signed by its colour (levels
-# are at most steps <= MAX_STEPS, within 32 bits), below[k] the slot
-# under it in its column or -1. top_cell[i] is the slot of column i's top
-# or -1 and tops[i] its level or 0; these and in_roof have sentinels at
-# columns 0 and n + 1, which stay 0.
+# It steps through one run of letters, pairs of a column i (1-based) and
+# a sign s. The k-th push takes slot k: cells[k] is its level signed by
+# its colour (levels are at most steps <= MAX_STEPS, within 32 bits),
+# below[k] the slot under it in its column or -1. top_cell[i] is the
+# slot of column i's top or -1 and tops[i] its level or 0; these and
+# in_roof have sentinels at columns 0 and n + 1, which stay 0. counts
+# carries the running height, roof size, pushes, reductions and the
+# reductions that grew and shrank the roof from one run to the next;
+# every step adds one to hist at its roof size, so the caller picks the
+# histogram per run.
 #
 # Column i's top is removable iff i is in the roof, so a cancellation is
 # tested on in_roof[i] and the top's colour before any maximum is taken;
 # it pops top_cell[i] to below[...] and recomputes the marks of i - 1, i,
 # i + 1. A push lands one above max(tops[i-1], tops[i], tops[i+1]),
 # strictly above both neighbours, and changes no other neighbourhood: i
-# joins the roof and i - 1, i + 1 leave it, so no mark is compared.
+# joins the roof and i - 1, i + 1 leave it, so no mark is compared. A
+# positive letter never cancels, so the kernel serves both modes.
 
 
-def _steps(shift, burn_in, snap_every, letters, cells, below, top_cell, tops, in_roof, hist, snapshots):
-    height = roof_size = pushes = reductions = 0
-    red_window = plus_window = minus_window = 0
-    for step, code in enumerate(letters):
-        i = (code >> shift) + 1
-        s = 1 - 2 * (code & shift)
+def _steps(letters, cells, below, top_cell, tops, in_roof, hist, counts):
+    height, roof_size, pushes, reductions, plus, minus = counts
+    for i, s in letters:
         if in_roof[i] and cells[top_cell[i]] == -s * tops[i]:  # opposite colour
             k = below[top_cell[i]]
             top_cell[i] = k
@@ -205,12 +264,10 @@ def _steps(shift, burn_in, snap_every, letters, cells, below, top_cell, tops, in
                 m = 1 if tops[j] > 0 and tops[j] >= tops[j - 1] and tops[j] >= tops[j + 1] else 0
                 roof_size += m - in_roof[j]
                 in_roof[j] = m
-            if step >= burn_in:
-                red_window += 1
-                if roof_size > old_roof:
-                    plus_window += 1
-                elif roof_size < old_roof:
-                    minus_window += 1
+            if roof_size > old_roof:
+                plus += 1
+            elif roof_size < old_roof:
+                minus += 1
         else:
             a = tops[i - 1]
             b = tops[i]
@@ -230,17 +287,17 @@ def _steps(shift, burn_in, snap_every, letters, cells, below, top_cell, tops, in
             in_roof[i - 1] = 0
             in_roof[i] = 1
             in_roof[i + 1] = 0
-        if step >= burn_in:
-            hist[roof_size] += 1
-        if snap_every > 0 and (step + 1) % snap_every == 0:
-            snapshots.append((step + 1, tuple(tops[1:-1]), tuple(in_roof[1:-1])))
-    return height, pushes, reductions, red_window, plus_window, minus_window
+        hist[roof_size] += 1
+    counts[:] = height, roof_size, pushes, reductions, plus, minus
 
 
 def run_trial(params: WalkParams, trial_index: int, engine: str = "auto") -> WalkStats:
     """
     Execute one trial deterministically, through the step kernel shared
-    by both modes, with one of `steps` preallocated slots per push.
+    by both modes, with one of `steps` preallocated slots per push. The
+    letters arrive in runs (see _runs): burn-in runs count their roof
+    sizes into a throwaway histogram, and the window's reduction counts
+    are the run totals less their values at burn_in.
 
     engine: "auto" and "python" run the kernel, "numba" raises
     RuntimeError (no compiled engine exists; callers probe for one this
@@ -251,38 +308,37 @@ def run_trial(params: WalkParams, trial_index: int, engine: str = "auto") -> Wal
     if engine == "numba":
         raise RuntimeError("no numba engine: the kernel runs interpreted only")
 
-    n = params.n
-    letters = letter_stream(params, trial_index).tolist()  # before the slots, to lower the peak
-    slots = array("i", [0]) * params.steps
-    hist = [0] * (n + 1)
+    n, burn_in, every = params.n, params.burn_in, params.snapshot_every
+    cells = array("i", [0]) * params.steps
+    below = array("i", cells)
+    top_cell, tops, in_roof = [-1] * (n + 2), [0] * (n + 2), [0] * (n + 2)
+    hist, burn_hist = [0] * (n + 1), [0] * (n + 1)
+    counts = [0] * 6  # height, roof size, pushes, reductions, plus, minus
+    at_burn_in = counts[:]
     snapshots = []
-    shift = 1 if params.mode == GROUP else 0
-    height, pushes, reductions, red_window, plus_window, minus_window = _steps(
-        shift,
-        params.burn_in,
-        params.snapshot_every,
-        letters,
-        slots,  # cells
-        array("i", slots),  # below
-        [-1] * (n + 2),  # top_cell
-        [0] * (n + 2),  # tops
-        [0] * (n + 2),  # in_roof
-        hist,
-        snapshots,
-    )
+    for end, letters in _runs(params, trial_index, every):
+        _steps(
+            letters, cells, below, top_cell, tops, in_roof,
+            hist if end > burn_in else burn_hist, counts,
+        )
+        if end == burn_in:
+            at_burn_in = counts[:]
+        if every and end % every == 0:
+            snapshots.append((end, tuple(tops[1:-1]), tuple(in_roof[1:-1])))
+    height, _, pushes, reductions, plus, minus = counts
     return WalkStats(
         n=n,
         mode=params.mode,
         steps=params.steps,
         trial_index=trial_index,
-        burn_in=params.burn_in,
-        window_steps=params.steps - params.burn_in,
+        burn_in=burn_in,
+        window_steps=params.steps - burn_in,
         final_length=pushes - reductions,
         height=height,
         reductions=reductions,
-        reductions_window=red_window,
-        roof_delta_plus_given_reduction=plus_window,
-        roof_delta_minus_given_reduction=minus_window,
+        reductions_window=reductions - at_burn_in[3],
+        roof_delta_plus_given_reduction=plus - at_burn_in[4],
+        roof_delta_minus_given_reduction=minus - at_burn_in[5],
         roof_hist=tuple(hist),
         snapshots=tuple(snapshots),
     )
@@ -447,10 +503,10 @@ def roof_chain_run(
     changes: the column joins (or stays in) the roof, its neighbours
     leave it, and every other mark stays. The chain is checked, and its
     burn_in=None resolved, as the walk WalkParams(n, steps, 1, seed,
-    mode, burn_in=burn_in), and it reads that walk's trial 0 through
-    letter_stream. So with the same seed and burn-in ones_density equals
-    roof_density_estimate of that trial bit for bit, and final its last
-    snapshot's roof. The boundary, sample_every >= 0 and the chain's own
+    mode, burn_in=burn_in), and it reads that walk's trial 0 letters in
+    the same runs as run_trial. So with the same seed and burn-in
+    ones_density equals roof_density_estimate of that trial bit for
+    bit, and final its last snapshot's roof. The boundary, sample_every >= 0 and the chain's own
     storage budget are the only checks it adds.
     """
     params = WalkParams(n, steps, 1, seed, mode, burn_in=burn_in)
@@ -461,35 +517,36 @@ def roof_chain_run(
         raise ValueError("sample_every must be >= 0")
     samples = steps // sample_every if sample_every else 0
     _check_budget(steps, 3 * n + 2 * samples)
-    codes = letter_stream(params, 0).tolist()
-    shift = 1 if mode == GROUP else 0
 
-    # eps[n] is the always-0 neighbour of the open ends
-    eps = [0] * (n + 1)
+    # 1-based like the kernel's columns: eps[0] and eps[n + 1] are the
+    # always-0 neighbours of the open ends
+    eps = [0] * (n + 2)
     if boundary == PERIODIC and n > 1:
-        left, right = [n - 1, *range(n - 1)], [*range(1, n), 0]
+        left, right = [0, n, *range(1, n)], [0, *range(2, n + 1), 1]
     else:
-        left, right = [n, *range(n - 1)], list(range(1, n + 1))
-    ones = acc = 0
+        left, right = list(range(-1, n)), list(range(1, n + 2))
+    ones = acc = acc_at_burn_in = 0
     series = []
-    for step, code in enumerate(codes):
-        j = code >> shift
-        if eps[j] == 0:
-            # one after the other: periodic n = 2 has left[j] == right[j]
-            k = left[j]
-            ones += 1 - eps[k]
-            eps[k] = 0
-            k = right[j]
-            ones -= eps[k]
-            eps[k] = 0
-            eps[j] = 1
-        elif code & shift:  # a group letter's reduce coin; never in semigroup mode
-            eps[j] = 0
-            ones -= 1
-        if step >= burn_in:
+    for end, letters in _runs(params, 0, sample_every):
+        for j, s in letters:
+            if eps[j] == 0:
+                # one after the other: periodic n = 2 has left[j] == right[j]
+                k = left[j]
+                ones += 1 - eps[k]
+                eps[k] = 0
+                k = right[j]
+                ones -= eps[k]
+                eps[k] = 0
+                eps[j] = 1
+            elif s < 0:  # a group letter's reduce coin; never in semigroup mode
+                eps[j] = 0
+                ones -= 1
             acc += ones
-        if sample_every > 0 and (step + 1) % sample_every == 0:
-            series.append((step + 1, ones))
+        if end == burn_in:
+            acc_at_burn_in = acc
+        if sample_every and end % sample_every == 0:
+            series.append((end, ones))
+    acc -= acc_at_burn_in
     density = acc / ((steps - burn_in) * n)
     return RoofChainResult(
         n=n,
@@ -499,6 +556,6 @@ def roof_chain_run(
         boundary=boundary,
         burn_in=burn_in,
         ones_density=density,
-        final=tuple(eps[:n]),
+        final=tuple(eps[1:-1]),
         series=tuple(series),
     )

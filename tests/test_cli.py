@@ -427,6 +427,7 @@ def test_spectrum_degree_budget_exits_two(capsys, argv):
 )
 def test_walk_budget_exits_two(capsys, monkeypatch, argv):
     _forbid(monkeypatch, "letter_stream")
+    _forbid(monkeypatch, "_chunks")
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -38,6 +40,7 @@ def test_params_budget_rejects_before_allocation(monkeypatch):
         raise AssertionError("letter codes were drawn")
 
     monkeypatch.setattr(walk, "letter_stream", boom)
+    monkeypatch.setattr(walk, "_chunks", boom)
     for bad in (
         dict(n=1, steps=walk.MAX_STEPS + 1),
         dict(n=1, steps=2**64 - 1),
@@ -84,6 +87,19 @@ def test_letter_codes_match_the_modulo_formula():
             new = walk.letter_stream(WalkParams(n, 5000, 1, seed, mode), stream)
             assert new.dtype == np.int64 and new.nbytes == old.nbytes
             assert np.array_equal(new, old), (mode, n, seed, stream)
+
+
+@pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
+def test_letter_stream_is_the_one_shot_draw_at_chunk_edges(mode):
+    # the chunks of one Philox generator concatenate to a single draw
+    c = walk.CHUNK
+    for steps in (c - 1, c, c + 1, 3 * c + 5):
+        for n, seed, stream in ((3, 0, 0), (100, 2**63 + 9, 4)):
+            gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+            raw = gen.integers(0, 2**64, size=steps, dtype=np.uint64)
+            one_shot = (raw % np.uint64(2 * n if mode == GROUP else n)).astype(np.int64)
+            codes = walk.letter_stream(WalkParams(n, steps, 1, seed, mode), stream)
+            assert codes.dtype == np.int64 and np.array_equal(codes, one_shot), (steps, n)
 
 
 def test_seeds_above_2_63_draw_their_own_streams():
@@ -173,6 +189,59 @@ def test_trial_matches_core_replay(mode):
             p = WalkParams(n=n, steps=1500, trials=2, seed=seed, mode=mode, snapshot_every=1)
             for trial in range(p.trials):
                 assert walk.run_trial(p, trial) == _replay(p, trial), (n, seed, trial)
+
+
+# a small prime: runs end at chunk edges that miss the snapshot steps.
+# (burn_in, snapshot_every): burn-in at 0, inside a chunk and on a chunk
+# edge; snapshots none, at every step, at chunk edges and off them
+SMALL_CHUNK = 13
+CHUNK_EDGE_CASES = [
+    (0, 0), (0, 5), (2 * SMALL_CHUNK, SMALL_CHUNK), (2 * SMALL_CHUNK, 5), (None, 1), (11, 3 * SMALL_CHUNK),
+]
+
+
+@pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
+@pytest.mark.parametrize("burn_in,snapshot_every", CHUNK_EDGE_CASES)
+def test_trial_matches_core_replay_across_chunk_edges(monkeypatch, mode, burn_in, snapshot_every):
+    monkeypatch.setattr(walk, "CHUNK", SMALL_CHUNK)
+    for n, steps in ((1, 100), (3, 300), (12, 401)):
+        p = WalkParams(n, steps, 2, 2**63 + n, mode, snapshot_every=snapshot_every, burn_in=burn_in)
+        for trial in range(p.trials):
+            assert walk.run_trial(p, trial) == _replay(p, trial), (n, trial)
+
+
+# WalkStats digests, sha256 of repr, recorded with the kernel that held
+# the whole letter list: 3 CHUNK + 5 steps cross three chunk edges
+@pytest.mark.parametrize("mode,seed,digest", [
+    (GROUP, 2**63 + 11, "15e1be285f63a9b1381151f1d39dfcc4b3d00c27eeed20a517a0a1476df163c1"),
+    (SEMIGROUP, 12, "bb906819f5f83fa853b08ce06b3e0b827d0b7d0e1c9374c0003242c3947e6bca"),
+])
+def test_pinned_long_run(mode, seed, digest):
+    assert walk.CHUNK == 2**13
+    st = walk.run_trial(WalkParams(100, 3 * 2**13 + 5, 1, seed, mode, snapshot_every=97), 0)
+    assert len(st.snapshots) == (3 * 2**13 + 5) // 97
+    assert hashlib.sha256(repr(st).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
+def test_walk_memory_is_bounded_by_a_chunk(mode):
+    # a trial holds its two 4-byte slot arrays and one chunk of letters,
+    # the chain only the chunk; both held all 2 * 10^5 codes as a list,
+    # 16 B per step, before the letters were chunked
+    steps = 200_000
+    walk.run_trial(WalkParams(100, 1000, 1, 0, mode), 0)
+    walk.roof_chain_run(100, 1000, 0, mode)
+    tracemalloc.start()
+    try:
+        walk.run_trial(WalkParams(100, steps, 1, 1, mode), 0)
+        trial_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        walk.roof_chain_run(100, steps, 1, mode)
+        chain_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trial_peak / steps < 12
+    assert chain_peak / steps < 2
 
 
 def test_pinned_stats():
@@ -528,28 +597,47 @@ def test_semigroup_chain_is_the_walk_roof(n, steps, seed):
     assert chain.final == stats.snapshots[-1][2]
 
 
+def _fold_chain(n, steps, seed, mode, boundary, burn_in, sample_every):
+    """
+    roof_chain_step folded over the chain's letters one step at a time:
+    (final, series, ones_density). In group mode a letter aimed at a
+    roof column reduces only on its coin, code & 1.
+    """
+    codes = walk.letter_stream(WalkParams(n, steps, 1, seed, mode), 0).tolist()
+    eps, series, acc = (0,) * n, [], 0
+    for step, code in enumerate(codes):
+        if mode == GROUP:
+            j, rule = code // 2, GROUP if code & 1 else SEMIGROUP
+        else:
+            j, rule = code, SEMIGROUP
+        eps = roof_chain_step(eps, j + 1, rule, boundary)
+        if step >= burn_in:
+            acc += sum(eps)
+        if sample_every and (step + 1) % sample_every == 0:
+            series.append((step + 1, sum(eps)))
+    return eps, tuple(series), acc / ((steps - burn_in) * n)
+
+
 @pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
 @pytest.mark.parametrize("boundary", [walk.OPEN, walk.PERIODIC])
 def test_chain_run_is_the_chain_model(mode, boundary):
-    # roof_chain_step folded over the run's own letters; in group mode a
-    # letter aimed at a roof column reduces only on its coin, code & 1
     for n in (1, 2, 3, 12):
         steps, seed = 3000, n + 20
         res = walk.roof_chain_run(n, steps, seed, mode, boundary, sample_every=1)
-        codes = walk.letter_stream(WalkParams(n, steps, 1, seed, mode), 0).tolist()
-        eps, series, acc = (0,) * n, [], 0
-        for step, code in enumerate(codes):
-            if mode == GROUP:
-                j, rule = code // 2, GROUP if code & 1 else SEMIGROUP
-            else:
-                j, rule = code, SEMIGROUP
-            eps = roof_chain_step(eps, j + 1, rule, boundary)
-            if step >= res.burn_in:
-                acc += sum(eps)
-            series.append((step + 1, sum(eps)))
-        assert res.series == tuple(series), n
-        assert res.final == eps, n
-        assert res.ones_density == acc / ((steps - res.burn_in) * n), n
+        ref = _fold_chain(n, steps, seed, mode, boundary, res.burn_in, 1)
+        assert (res.final, res.series, res.ones_density) == ref, n
+
+
+@pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
+@pytest.mark.parametrize("boundary", [walk.OPEN, walk.PERIODIC])
+@pytest.mark.parametrize("burn_in,sample_every", CHUNK_EDGE_CASES)
+def test_chain_run_across_chunk_edges(monkeypatch, mode, boundary, burn_in, sample_every):
+    monkeypatch.setattr(walk, "CHUNK", SMALL_CHUNK)
+    for n, steps in ((1, 100), (2, 200), (12, 401)):
+        seed = 2**63 + n
+        res = walk.roof_chain_run(n, steps, seed, mode, boundary, burn_in, sample_every)
+        ref = _fold_chain(n, steps, seed, mode, boundary, res.burn_in, sample_every)
+        assert (res.final, res.series, res.ones_density) == ref, n
 
 
 def test_walk_roof_mean_matches_exact_law():
