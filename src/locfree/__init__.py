@@ -20,15 +20,12 @@ from locfree.core import (
     ColoredHeap,
     Letter,
     NormalWord,
-    RoofSet,
     Syllable,
     canonical_key,
     empty_heap,
     heap_from_word,
     normal_form_readout,
     push_letter,
-    roof_of,
-    validate_heap,
 )
 
 __version__ = "0.1.0"
@@ -39,14 +36,11 @@ __all__ = [
     "ColoredHeap",
     "Letter",
     "NormalWord",
-    "RoofSet",
     "Syllable",
     "canonical_key",
     "empty_heap",
     "heap_from_word",
     "normal_form_readout",
     "push_letter",
-    "roof_of",
-    "validate_heap",
     "__version__",
 ]

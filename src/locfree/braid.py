@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 from locfree import counting
-from locfree.core import GROUP, SEMIGROUP
+from locfree.core import GROUP, _check_mode
 
 LOG7 = math.log(7.0)
 
@@ -68,8 +68,7 @@ def volume_bounds(n: int, variant: str = GROUP) -> tuple[float, float]:
     """
     if n < 2:
         raise ValueError("braid bounds need n >= 2")
-    if variant not in (GROUP, SEMIGROUP):
-        raise ValueError("variant must be group or semigroup")
+    _check_mode(variant)
     v = counting.limit_log_volume(variant, n=n)
     return v / 2.0, v
 
@@ -100,35 +99,33 @@ class InequalityReport:
     grid_step: float
 
 
-# inequality_report sweeps alpha = k * GRID_STEP / 2 over every integer k
-# with alpha strictly inside (-1/2, 1/2).
+# inequality_report takes the minimum of eps(a) over alpha = k * GRID_STEP / 2
+# for every integer k with alpha strictly inside (-1/2, 1/2).
 GRID_STEP = 1e-3
 
 
 def inequality_report(v: float, l: float, h: float) -> InequalityReport:
     """
-    The discrepancy eps = l v - h, together with a sweep of the closed
-    form eps(a) over a grid on (-1/2, 1/2). The sweep must come out
-    strictly positive everywhere (it does; the minimum sits at the
-    left edge, about 0.137); a nonpositive value would mean the drift and volume
-    constants are inconsistent, so it raises rather than reports.
+    The discrepancy eps = l v - h, together with the minimum of the
+    closed form eps(a) over a grid on (-1/2, 1/2). The minimum must come
+    out strictly positive (it does, about 0.137); a nonpositive value
+    would mean the drift and volume constants are inconsistent, so it
+    raises rather than reports.
+
+    eps'(a) = (3 - a - log 7) / (3 - a)^2 > 0 on (-1/2, 1/2), so eps
+    increases there and the grid minimum is its first point; the double
+    values increase strictly along the grid too.
     """
     if not 0.0 < l <= 1.0:
         raise ValueError("drift l must lie in (0, 1]")
     if v <= 0.0 or not all(map(math.isfinite, (v, l, h))):
         raise ValueError("need finite v > 0, finite h")
     eps = l * v - h
-    best = math.inf
-    best_alpha = 0.0
     steps = int(round(1.0 / GRID_STEP))
-    for k in range(-steps + 1, steps):
-        a = 0.5 * k / steps
-        val = closed_form_epsilon(a)
-        if val < best:
-            best = val
-            best_alpha = a
+    best_alpha = 0.5 * (-steps + 1) / steps
+    best = closed_form_epsilon(best_alpha)
     if best <= 0.0:
-        raise ArithmeticError("eps(alpha) sweep failed strict positivity")
+        raise ArithmeticError("eps(alpha) grid minimum failed strict positivity")
     return InequalityReport(
         v=v, l=l, h=h, epsilon=eps,
         grid_min_epsilon=best, grid_argmin_alpha=best_alpha, grid_step=GRID_STEP,

@@ -30,8 +30,7 @@ import sys
 
 from locfree import braid, counting, walk
 from locfree import oracle as oracle_mod
-from locfree.core import GROUP, SEMIGROUP
-from locfree.counting import PROJECTIVE, RESTRICTED, VARIANTS
+from locfree.core import GROUP, PROJECTIVE, RESTRICTED, SEMIGROUP, VARIANTS
 
 
 def _sig12(x):

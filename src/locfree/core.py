@@ -42,7 +42,6 @@ size drives the drift and entropy estimators in the walk module.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 GROUP = "group"
@@ -50,12 +49,33 @@ SEMIGROUP = "semigroup"
 
 MODES = (GROUP, SEMIGROUP)
 
+# The two quotients that only counting and the oracle know: the
+# projective semigroup (f_i^2 = f_i) and the restricted-order quotient
+# (f_i^r = 1).
+PROJECTIVE = "projective"
+RESTRICTED = "restricted"
+
+VARIANTS = (GROUP, SEMIGROUP, PROJECTIVE, RESTRICTED)
+
 # A cell is (level, color) with level >= 1 and color in {+1, -1}.
 Cell = tuple[int, int]
 # columns[i] holds the cells of column i+1 in ascending level order.
 Columns = tuple[tuple[Cell, ...], ...]
 
-_U32 = struct.Struct("<I")
+
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+
+
+def _check_variant(variant: str, r) -> None:
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
+    if variant == RESTRICTED:
+        if r is None or r < 2:
+            raise ValueError("restricted variant requires r >= 2")
+    elif r is not None:
+        raise ValueError("r is only meaningful for the restricted variant")
 
 
 @dataclass(frozen=True)
@@ -145,8 +165,7 @@ class ColoredHeap:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+        _check_mode(self.mode)
         if not self.columns:
             object.__setattr__(self, "columns", ((),) * self.n)
         elif len(self.columns) != self.n:
@@ -255,30 +274,6 @@ def _roof_marks(columns: Columns) -> tuple[int, ...]:
     )
 
 
-def roof_of(heap: ColoredHeap) -> "RoofSet":
-    """
-    Columns whose top cell is removable in one step; each mark is the
-    top cell's color, the sign whose inverse letter performs the removal.
-    """
-    return RoofSet(heap.n, _roof_marks(heap.columns))
-
-
-@dataclass(frozen=True)
-class RoofSet:
-    """Per-column roof indicator; marks[i] is the top color of column i+1 or 0."""
-
-    n: int
-    marks: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return sum(1 for m in self.marks if m)
-
-    def columns(self) -> tuple[int, ...]:
-        """1-based marked column indices, ascending."""
-        return tuple(i + 1 for i, m in enumerate(self.marks) if m)
-
-
 def normal_form_readout(heap: ColoredHeap) -> NormalWord:
     """
     The unique normal form of the heap's element.
@@ -324,65 +319,10 @@ def normal_form_readout(heap: ColoredHeap) -> NormalWord:
     return word
 
 
-def canonical_key(heap: ColoredHeap) -> bytes:
+def canonical_key(heap: ColoredHeap) -> Columns:
     """
-    Injective byte serialization of the heap.
-
-    Layout: u32 little-endian n; then per column in ascending index, a
-    u32 cell count followed by (u32 level, one color byte) per cell in
-    ascending level order. Color bytes: 0x01 for +1, 0xFF for -1. Equal
-    group elements produce equal keys and conversely.
+    The heap's columns tuple, the key under which the oracle stores every
+    state and every exact_distribution probability. Equal group elements
+    have equal keys and conversely.
     """
-    pack = _U32.pack
-    parts = [pack(heap.n)]
-    for col in heap.columns:
-        parts.append(pack(len(col)))
-        for level, color in col:
-            parts.append(pack(level))
-            parts.append(b"\x01" if color == 1 else b"\xff")
-    return b"".join(parts)
-
-
-def validate_heap(heap: ColoredHeap) -> None:
-    """
-    Raise ValueError unless the heap satisfies every structural invariant.
-
-    Checked: strictly ascending levels per column; no level shared by
-    adjacent columns; a supporting cell one level below every cell
-    above level 1 (which also forces drop levels to be minimal); equal
-    colors on vertically touching cells; positive colors only in
-    semigroup mode.
-    """
-    n = heap.n
-    cols = heap.columns
-    levels = [set() for _ in range(n)]
-    for i, col in enumerate(cols):
-        prev_level = 0
-        prev_color = 0
-        for level, color in col:
-            if color not in (1, -1):
-                raise ValueError(f"column {i + 1}: color {color} invalid")
-            if heap.mode == SEMIGROUP and color != 1:
-                raise ValueError(f"column {i + 1}: negative color in semigroup mode")
-            if level <= prev_level:
-                raise ValueError(f"column {i + 1}: levels not strictly ascending")
-            if level == prev_level + 1 and prev_color and color != prev_color:
-                raise ValueError(f"column {i + 1}: touching cells of unequal color")
-            levels[i].add(level)
-            prev_level, prev_color = level, color
-    for i in range(n - 1):
-        shared = levels[i] & levels[i + 1]
-        if shared:
-            raise ValueError(f"columns {i + 1},{i + 2} share level {min(shared)}")
-    for i, col in enumerate(cols):
-        for level, _ in col:
-            if level == 1:
-                continue
-            below = level - 1
-            supported = any(
-                below in levels[j] for j in range(max(0, i - 1), min(n, i + 2))
-            )
-            if not supported:
-                raise ValueError(
-                    f"column {i + 1}: cell at level {level} has no support"
-                )
+    return heap.columns

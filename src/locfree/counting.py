@@ -62,23 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from locfree.core import GROUP, SEMIGROUP
-
-PROJECTIVE = "projective"
-RESTRICTED = "restricted"
-
-VARIANTS = (GROUP, SEMIGROUP, PROJECTIVE, RESTRICTED)
-
-
-def _check_variant(variant: str, r) -> None:
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
-    if variant == RESTRICTED:
-        if r is None or r < 2:
-            raise ValueError("restricted variant requires r >= 2")
-    elif r is not None:
-        raise ValueError("r is only meaningful for the restricted variant")
-
+from locfree.core import GROUP, PROJECTIVE, RESTRICTED, SEMIGROUP, _check_variant
 
 # The sweep costs O(n k_max) big-int additions: (n, k_max) = (1000, 1000)
 # took 0.97 s, (317, 3940) 3.2 s and (10^6, 2) 0.29 s at 106 MB RSS on a

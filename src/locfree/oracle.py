@@ -34,15 +34,18 @@ gate of the package.
 Step t of the path counts reads only the orbits of depth <= t, a prefix
 of the breadth-first ids: an orbit of depth d carries no mass before
 step d. The steps' counts come one row at a time (_Interned.rows), and
-exact_drift_series, exact_entropy and exact_entropy_series fold each row
-as it comes, holding two at most: for exact_entropy(4, 10, SEMIGROUP)
-that took the tracemalloc peak from 26.1 MB to 21.5 MB. Only
-exact_distribution keeps every row, for its roof check. Once its roof
-and normalisation checks pass, it releases the state map, the
-transition rows and every step's counts but the last before it expands
-the orbits, and it shares one Fraction among all states with the same
-per-state count. For exact_distribution(4, 10, SEMIGROUP) that took the peak RSS of a fresh Python 3.11 process from
-61.2 MB to 48.1 MB, and the tracemalloc peak from 39.5 MB to 26.4 MB.
+every caller folds each row as it comes, holding two at most (for
+exact_entropy(4, 10, SEMIGROUP) that took the tracemalloc peak from
+26.1 MB to 21.5 MB). exact_distribution reads only the last row; in
+semigroup mode its roof check folds the rows first, keeping of each
+only the counts of the orbits at that row's depth, one list by id, and
+hands back the last row. Once its roof and normalisation checks pass,
+exact_distribution releases the state map and the transition rows
+before it expands the orbits, and it shares one Fraction among all
+states with the same per-state count. For exact_distribution(4, 10,
+SEMIGROUP), in a fresh Python 3.11 process on a 2-vCPU Linux machine,
+the releases and the shared Fractions took the peak RSS from 61.2 MB to
+48.1 MB and the tracemalloc peak from 39.5 MB to 26.4 MB.
 
 Budgets are deliberately conservative and explicit. max_states bounds
 the orbits stored, and exact_distribution also bounds the states it
@@ -61,8 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from locfree import core
-from locfree.core import GROUP, SEMIGROUP
-from locfree.counting import PROJECTIVE, _check_variant
+from locfree.core import GROUP, PROJECTIVE, SEMIGROUP
 
 # Default enumeration budgets (orbits); see module docstring.
 BALL_STATE_BUDGET = 2_000_000
@@ -179,7 +181,7 @@ class _Interned:
     representative ids, in letter order and repeats included (orbits
     first reached at full depth are not stepped from); rows=False keeps
     none and leaves succ None, for callers that read only the depths.
-    Path counts are constant on orbits, so path_counts returns the orbit
+    Path counts are constant on orbits, so rows yields the orbit
     masses: the sums of the path counts over each orbit.
     max_states=None means BALL_STATE_BUDGET; it bounds the orbits
     stored.
@@ -257,11 +259,7 @@ class _Interned:
             cur = nxt
             yield cur
 
-    def path_counts(self) -> list[list[int]]:
-        """Every row of rows(), for the callers that need them all at once."""
-        return list(self.rows())
-
-    def check_roof_recursion(self, per_step) -> None:
+    def check_roof_recursion(self, rows) -> list[int]:
         """
         Semigroup only: a length-t path ends at w iff its last push laid
         the top cell of some roof column, so the per-state path counts
@@ -275,13 +273,20 @@ class _Interned:
         checked; as every w - top_i is one shallower than w, the two
         checks imply the recursion at every t. A mass that its orbit
         size does not divide fails the check too.
+
+        rows yields the orbit masses of steps 0, 1, ... (as rows() does).
+        Each row is checked for zeros off depth t as it arrives, and
+        only its depth-t per-state counts are kept, in one list indexed
+        by id; the last row is returned.
         """
         depth_of = self.depth_of  # nondecreasing: ids follow BFS order
-        for t, row in enumerate(per_step):
-            if any(row[: bisect_left(depth_of, t)]) or any(row[bisect_right(depth_of, t):]):
+        counts: list[int] = []  # counts[sid]: per-state count at sid's own depth
+        for t, row in enumerate(rows):
+            lo, hi = bisect_left(depth_of, t), bisect_right(depth_of, t)
+            if any(row[:lo]) or any(row[hi:]):
                 raise AssertionError(f"path counts at step {t} off states of length {t}")
-        ids, flip, sizes = self.ids, self.flip, self.sizes
-        counts = [_per_state(per_step[t][sid], sizes[sid]) for sid, t in enumerate(depth_of)]
+            counts.extend(map(_per_state, row[lo:hi], self.sizes[lo:hi]))
+        ids, flip = self.ids, self.flip
         for sid, cols in enumerate(self.states[1:], 1):
             expected = sum(
                 counts[ids[_canonical(cols[:i] + (cols[i][:-1],) + cols[i + 1:], i + 1, flip)]]
@@ -289,6 +294,7 @@ class _Interned:
             )
             if counts[sid] != expected:
                 raise AssertionError(f"roof recursion fails at state {sid}, step {depth_of[sid]}")
+        return row
 
 
 def ball_counts(
@@ -304,7 +310,7 @@ def ball_counts(
     length, since every push changes the minimal spelling by at most
     one letter). max_states bounds the orbits stored.
     """
-    _check_variant(variant, r)
+    core._check_variant(variant, r)
     if radius < 0:
         raise ValueError("radius must be >= 0")
     table = _Interned(n, radius, variant, r, max_states, rows=False)
@@ -321,8 +327,7 @@ def ball_counts(
 def _interned(n: int, steps: int, mode: str, max_states: int | None) -> _Interned:
     if steps < 1:
         raise ValueError("N must be >= 1")
-    if mode not in (GROUP, SEMIGROUP):
-        raise ValueError("mode must be group or semigroup")
+    core._check_mode(mode)
     n_cap, steps_cap = DEFAULT_DISTRIBUTION_LIMITS[mode]
     if max_states is None and (n > n_cap or steps > steps_cap):
         raise BudgetExceeded(
@@ -346,16 +351,16 @@ def exact_distribution(
     every orbit before probabilities are formed.
     """
     table = _interned(n, N, mode, max_states)
-    per_step = table.path_counts()
     if mode == SEMIGROUP:
-        table.check_roof_recursion(per_step)
+        final = table.check_roof_recursion(table.rows())
+    else:
+        final = next(itertools.islice(table.rows(), N, None))
     denom = table.base**N
-    final = per_step[N]
     if sum(final) != denom:
         raise AssertionError(f"path counts at step {N} do not sum to {denom}")
-    # free the state map, the transition rows and the earlier steps'
-    # counts before the Fractions are built
-    table.ids = table.succ = per_step = None
+    # free the state map and the transition rows before the Fractions
+    # are built
+    table.ids = table.succ = None
     budget = BALL_STATE_BUDGET if max_states is None else max_states
     support = sum(size for mass, size in zip(final, table.sizes) if mass)
     if support > budget:

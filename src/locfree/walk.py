@@ -54,7 +54,7 @@ from itertools import islice
 
 import numpy as np
 
-from locfree.core import GROUP, SEMIGROUP, MODES
+from locfree.core import GROUP, SEMIGROUP, _check_mode
 
 OPEN = "open"
 PERIODIC = "periodic"
@@ -108,8 +108,7 @@ class WalkParams:
         # a float or an out-of-range int would reach Philox as some other key
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an int in [0, 2^64), got {self.seed!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+        _check_mode(self.mode)
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be >= 0")
         if self.burn_in is None:

@@ -28,6 +28,7 @@ from locfree.walk import WalkParams
 
 import densematrix
 import freechain
+import heapcheck
 import rooflaw
 
 
@@ -239,7 +240,7 @@ def test_criterion_9_property_suites():
         for _ in range(2_500):
             sign = rng.choice((1, -1)) if mode == GROUP else 1
             heap = core.push_letter(heap, Letter(rng.randint(1, n), sign))
-            roof = core.roof_of(heap)
+            roof = heapcheck.roof_of(heap)
             columns = roof.columns()
             assert all(b - a >= 2 for a, b in zip(columns, columns[1:]))
             assert roof.size <= (n + 1) // 2

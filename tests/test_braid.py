@@ -95,3 +95,27 @@ def test_drift_bounds_nest_measured_walk():
     report, _ = walk.run_walk(p)
     lo, hi = braid.drift_bounds(report["alpha_hat"])
     assert lo < report["drift_mean"] <= hi
+
+
+def _swept_report(v, l, h):
+    """inequality_report with its grid minimum found by sweeping the whole grid."""
+    steps = int(round(1.0 / braid.GRID_STEP))
+    grid = [0.5 * k / steps for k in range(-steps + 1, steps)]
+    values = [braid.closed_form_epsilon(a) for a in grid]
+    assert all(a < b for a, b in zip(values, values[1:]))  # eps increases along the grid
+    best = min(values)
+    return braid.InequalityReport(
+        v=v, l=l, h=h, epsilon=l * v - h,
+        grid_min_epsilon=best, grid_argmin_alpha=grid[values.index(best)],
+        grid_step=braid.GRID_STEP,
+    )
+
+
+@pytest.mark.parametrize(
+    "v,l,h",
+    [(math.log(7), 2 / 3, math.log(3)), (math.log(3), 0.5, 0.5 * math.log(3)), (1.0, 1.0, 2.0)],
+)
+def test_inequality_grid_minimum_equals_the_sweep(v, l, h):
+    rep = braid.inequality_report(v, l, h)
+    assert rep == _swept_report(v, l, h)
+    assert rep.grid_min_epsilon == 0.13723628335425908

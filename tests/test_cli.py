@@ -27,6 +27,22 @@ def run(capsys, *argv):
 # --- count -------------------------------------------------------------------
 
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+README_COUNT = "locfree count --variant group --n 3 --k-max 2"
+
+
+def test_count_prints_the_readme_example(capsys):
+    # the README block under the command is its exact stdout; CI also
+    # runs the block's command through the installed console script
+    with open(README, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    start = lines.index(README_COUNT) + 1
+    expected = lines[start : lines.index("```", start)]
+    code, out, err = run(capsys, *README_COUNT.split()[1:])
+    assert code == 0 and err == ""
+    assert expected and out == "\n".join(expected) + "\n"
+
+
 def test_count_csv_exact_rows(capsys):
     code, out, err = run(capsys, "count", "--n", "3", "--k-max", "2", "--variant", "group")
     assert code == 0 and err == ""

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from locfree import core
+from locfree import braid, core, oracle, walk
 from locfree.core import GROUP, SEMIGROUP, Letter, Syllable
 
+import heapcheck
 import wordref
 
 F1, F2, F3 = Letter(1), Letter(2), Letter(3)
@@ -118,10 +119,10 @@ def test_readout_negative_syllable():
 
 
 def test_roof_examples():
-    assert core.roof_of(core.empty_heap(3)).size == 0
-    r = core.roof_of(core.heap_from_word([F1, F3], 3))
+    assert heapcheck.roof_of(core.empty_heap(3)).size == 0
+    r = heapcheck.roof_of(core.heap_from_word([F1, F3], 3))
     assert r.columns() == (1, 3)
-    r = core.roof_of(core.heap_from_word([F1, F2], 3))
+    r = heapcheck.roof_of(core.heap_from_word([F1, F2], 3))
     assert r.columns() == (2,)
     assert r.marks == (0, 1, 0)
 
@@ -129,18 +130,10 @@ def test_roof_examples():
 def test_roof_single_column():
     # n=1: the lone column is the entire roof whenever nonempty
     h = core.heap_from_word([F1, F1], 1)
-    assert core.roof_of(h).columns() == (1,)
+    assert heapcheck.roof_of(h).columns() == (1,)
 
 
 # --- canonical_key ---------------------------------------------------------
-
-
-def test_key_golden_bytes():
-    h = core.heap_from_word([F1, F2, F1], 3)
-    assert core.canonical_key(h).hex() == (
-        "03000000020000000100000001030000000101000000020000000100000000"
-    )
-    assert core.canonical_key(core.empty_heap(2)).hex() == "020000000000000000000000"
 
 
 def test_key_distinguishes():
@@ -148,6 +141,27 @@ def test_key_distinguishes():
     assert k(core.heap_from_word([F1, F3], 3)) == k(core.heap_from_word([F3, F1], 3))
     assert k(core.heap_from_word([F1], 3)) != k(core.heap_from_word([F1.inverse()], 3))
     assert k(core.heap_from_word([F1, F2], 3)) != k(core.heap_from_word([F2, F1], 3))
+
+
+# --- mode checks -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda mode: core.ColoredHeap(3, mode),
+        lambda mode: walk.WalkParams(n=3, steps=10, trials=1, seed=0, mode=mode),
+        lambda mode: oracle.exact_drift_series(2, 2, mode),
+        lambda mode: braid.volume_bounds(3, mode),
+    ],
+    ids=["ColoredHeap", "WalkParams", "exact_drift_series", "volume_bounds"],
+)
+def test_mode_check_is_shared(build):
+    with pytest.raises(ValueError) as expected:
+        core._check_mode("grp")
+    with pytest.raises(ValueError) as got:
+        build("grp")
+    assert str(got.value) == str(expected.value)
 
 
 # --- succession table ------------------------------------------------------
@@ -194,7 +208,7 @@ def test_round_trip_random():
         mode = GROUP if signed else rng.choice([GROUP, SEMIGROUP])
         word = random_word(rng, n, 200 if rng.random() < 0.02 else 12, signed)
         h = core.heap_from_word(word, n, mode)
-        core.validate_heap(h)
+        heapcheck.validate_heap(h)
         w = core.normal_form_readout(h)
         assert w.length == h.length
         assert core.heap_from_word(w.letters(), n, mode) == h
@@ -248,7 +262,7 @@ def test_roof_bounds_random():
     for _ in range(N_CASES):
         n = rng.randint(1, 9)
         h = core.heap_from_word(random_word(rng, n, 30), n)
-        roof = core.roof_of(h)
+        roof = heapcheck.roof_of(h)
         cols = roof.columns()
         assert all(b - a >= 2 for a, b in zip(cols, cols[1:]))
         assert roof.size <= math.ceil((n + 1) / 2)
@@ -264,7 +278,7 @@ def test_roof_is_where_inverses_shorten():
     for _ in range(500):
         n = rng.randint(2, 6)
         h = core.heap_from_word(random_word(rng, n, 12), n)
-        roof = core.roof_of(h)
+        roof = heapcheck.roof_of(h)
         for i in range(1, n + 1):
             col = h.columns[i - 1]
             shrinkers = [
@@ -277,7 +291,7 @@ def test_roof_is_where_inverses_shorten():
                     h.n, h.mode,
                     h.columns[: i - 1] + (col[:-1],) + h.columns[i:],
                 )
-                core.validate_heap(stripped)
+                heapcheck.validate_heap(stripped)
                 assert core.push_letter(h, Letter(i, -col[-1][1])) == stripped
             else:
                 assert shrinkers == []

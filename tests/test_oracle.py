@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -195,7 +196,7 @@ def test_orbit_representatives_and_sizes(variant, r):
 def test_orbit_mass_is_a_multiple_of_orbit_size(mode):
     for n in (1, 2, 3, 4):
         table = oracle._Interned(n, 5, mode)
-        for masses in table.path_counts():
+        for masses in table.rows():
             assert all(c % size == 0 for c, size in zip(masses, table.sizes)), n
 
 
@@ -203,7 +204,7 @@ def test_orbit_mass_is_a_multiple_of_orbit_size(mode):
 def test_path_counts_sweep_only_live_orbits(mode):
     # the reference sweep steps from every orbit at every step; no orbit
     # deeper than t may carry mass at step t, so the prefix sweep of
-    # path_counts must give the same rows
+    # rows() must give the same rows
     for n in (1, 2, 3, 4):
         table = oracle._Interned(n, 5, mode)
         full = [[0] * len(table.states) for _ in range(6)]
@@ -214,7 +215,7 @@ def test_path_counts_sweep_only_live_orbits(mode):
                     full[t + 1][tid] += full[t][sid]
         for t, masses in enumerate(full):
             assert not any(c for c, d in zip(masses, table.depth_of) if d > t), (n, t)
-        assert table.path_counts() == full, n
+        assert list(table.rows()) == full, n
 
 
 @pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
@@ -240,14 +241,14 @@ def test_entropy_rejects_an_orbit_mass_off_its_size(monkeypatch):
 
 
 def test_distribution_checks_its_normalisation(monkeypatch):
-    real = oracle._Interned.path_counts
+    real = oracle._Interned.rows
 
     def leaky(self):
-        per_step = real(self)
+        per_step = list(real(self))
         per_step[-1][-1] += 1
-        return per_step
+        return iter(per_step)
 
-    monkeypatch.setattr(oracle._Interned, "path_counts", leaky)
+    monkeypatch.setattr(oracle._Interned, "rows", leaky)
     with pytest.raises(AssertionError, match="do not sum to 64"):
         oracle.exact_distribution(2, 3, GROUP)
 
@@ -284,6 +285,20 @@ def test_distribution_two_steps():
     assert sum(dist.probabilities.values()) == 1
 
 
+def test_state_key_is_the_oracle_key():
+    # the key core gives a heap is the key its state has in the oracle
+    rng = random.Random(1616)
+    dists = {}
+    for _ in range(300):
+        n, length, mode = rng.randint(1, 4), rng.randint(1, 6), rng.choice((GROUP, SEMIGROUP))
+        signs = (1, -1) if mode == GROUP else (1,)
+        word = [(rng.randint(1, n), rng.choice(signs)) for _ in range(length)]
+        if (n, length, mode) not in dists:
+            dists[n, length, mode] = oracle.exact_distribution(n, length, mode, 100_000)
+        key = core.canonical_key(core.heap_from_word(word, n, mode))
+        assert key in dists[n, length, mode].probabilities, (n, mode, word)
+
+
 def test_distribution_path_counts_semigroup():
     dist = oracle.exact_distribution(3, 3, SEMIGROUP)
     paths = [p * 27 for p in dist.probabilities.values()]
@@ -293,8 +308,8 @@ def test_distribution_path_counts_semigroup():
 
 def test_roof_recursion_check_catches_corruption():
     table = oracle._Interned(3, 5, SEMIGROUP)
-    good = table.path_counts()
-    table.check_roof_recursion(good)
+    good = list(table.rows())
+    assert table.check_roof_recursion(iter(good)) == good[-1]
     depth = 2
     sid = table.depth_of.index(depth)
     for t in (depth, depth + 1):  # a count on its own length, and off it

@@ -12,6 +12,7 @@ import pytest
 from locfree import core, oracle, walk
 from locfree.walk import GROUP, SEMIGROUP, WalkParams
 
+import heapcheck
 import rooflaw
 
 
@@ -144,7 +145,7 @@ def test_engine_keyword():
 def _replay(p: WalkParams, trial: int) -> walk.WalkStats:
     """
     The trial's letters pushed one by one through core.push_letter, with
-    every statistic read off core's heap and core.roof_of: a reference
+    every statistic read off core's heap and its roof marks: a reference
     that shares no code with the step kernel.
     """
     heap = core.empty_heap(p.n, p.mode)
@@ -161,7 +162,7 @@ def _replay(p: WalkParams, trial: int) -> walk.WalkStats:
         heap = core.push_letter(heap, letter)
         reduced = heap.length < before
         tops = tuple(col[-1][0] if col else 0 for col in heap.columns)
-        marks = core.roof_of(heap)
+        marks = heapcheck.roof_of(heap)
         height = max(height, *tops)
         reductions += reduced
         if step >= p.burn_in:
@@ -459,8 +460,7 @@ def roof_chain_step(eps, r: int, mode: str = SEMIGROUP, boundary: str = walk.OPE
         raise ValueError(f"column {r} out of range 1..{n}")
     if boundary not in (walk.OPEN, walk.PERIODIC):
         raise ValueError("boundary must be open or periodic")
-    if mode not in walk.MODES:
-        raise ValueError(f"mode must be one of {walk.MODES}")
+    core._check_mode(mode)
     out = list(eps)
     if any(x not in (0, 1) for x in out):
         raise ValueError("indicator entries must be 0 or 1")
