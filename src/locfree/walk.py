@@ -40,8 +40,8 @@ one-shot draw of the whole stream, bit for bit. Identical (params,
 trial_index) give bit-identical WalkStats on every platform: the step
 kernel manipulates integers only, and every floating point statistic is
 derived afterwards from those integers in a fixed order. One step
-kernel serves both modes (a positive letter never cancels) and gives
-each push its own storage slot, so it cannot overflow.
+kernel serves both modes (a positive letter never cancels) and keeps
+the heap as one growable stack per column, so it cannot overflow.
 """
 
 from __future__ import annotations
@@ -60,12 +60,13 @@ OPEN = "open"
 PERIODIC = "periodic"
 
 # Budgets per trial and per run, checked before any allocation. A trial
-# holds its two 4-byte slot arrays and one chunk of decoded letters; the
-# roof chain only the chunk. Peak RSS growth over 10^6 group steps,
-# measured with Python 3.11 on x86-64 Linux: 8.0 B per step at n = 100
-# and 10.5 B at n = 10^5 for a trial, none for the chain; `walk --format
-# csv` takes up to 118 B per stored integer: about 0.1 + 1.2 GB at the
-# bounds.
+# holds a 4-byte integer per heap cell, in its column's stack, and one
+# chunk of decoded letters; the roof chain only the chunk. A stack costs
+# about 100 B once its column is first pushed, so few steps per column
+# cost more per step. Peak RSS growth over 10^6 group steps, measured
+# with Python 3.11 on x86-64 Linux: 4.3 B per step at n = 100 and 13.5 B
+# at n = 10^5 for a trial, none for the chain; `walk --format csv` takes
+# up to 118 B per stored integer: about 0.1 + 1.2 GB at the bounds.
 MAX_STEPS = 10_000_000
 MAX_SLOTS = 10_000_000
 
@@ -146,10 +147,6 @@ class WalkStats:
         return sum(k * c for k, c in enumerate(self.roof_hist))
 
     @property
-    def roof_size_sq_sum(self) -> int:
-        return sum(k * k * c for k, c in enumerate(self.roof_hist))
-
-    @property
     def log_roof_sum(self) -> float:
         """sum over the window of log(#T_j / n)."""
         logn = math.log(self.n)
@@ -227,36 +224,35 @@ def _runs(params: WalkParams, trial_index: int, every: int):
 
 
 # ---------------------------------------------------------------------------
-# The step kernel: integer state in flat buffers. Do not add floating point:
+# The step kernel: integer state only. Do not add floating point:
 # the bit identity of WalkStats across platforms depends on it.
 #
 # It steps through one run of letters, pairs of a column i (1-based) and
-# a sign s. The k-th push takes slot k: cells[k] is its level signed by
-# its colour (levels are at most steps <= MAX_STEPS, within 32 bits),
-# below[k] the slot under it in its column or -1. top_cell[i] is the
-# slot of column i's top or -1 and tops[i] its level or 0; these and
-# in_roof have sentinels at columns 0 and n + 1, which stay 0. counts
-# carries the running height, roof size, pushes, reductions and the
-# reductions that grew and shrank the roof from one run to the next;
-# every step adds one to hist at its roof size, so the caller picks the
-# histogram per run.
+# a sign s. cols[i] is column i's stack, an array('i') of its cells'
+# levels signed by their colours, bottom first (levels are at most steps
+# <= MAX_STEPS, within 32 bits), or None until the column's first push.
+# tops[i] is column i's top level or 0; cols, tops and in_roof have
+# sentinels at columns 0 and n + 1, which stay None and 0. counts carries
+# the running height, roof size, reductions and the reductions that grew
+# and shrank the roof from one run to the next; every step adds one to
+# hist at its roof size, so the caller picks the histogram per run.
 #
 # Column i's top is removable iff i is in the roof, so a cancellation is
 # tested on in_roof[i] and the top's colour before any maximum is taken;
-# it pops top_cell[i] to below[...] and recomputes the marks of i - 1, i,
-# i + 1. A push lands one above max(tops[i-1], tops[i], tops[i+1]),
-# strictly above both neighbours, and changes no other neighbourhood: i
-# joins the roof and i - 1, i + 1 leave it, so no mark is compared. A
-# positive letter never cancels, so the kernel serves both modes.
+# it pops column i's stack and recomputes the marks of i - 1, i, i + 1. A
+# push lands one above max(tops[i-1], tops[i], tops[i+1]), strictly above
+# both neighbours, and changes no other neighbourhood: i joins the roof
+# and i - 1, i + 1 leave it, so no mark is compared. A positive letter
+# never cancels, so the kernel serves both modes.
 
 
-def _steps(letters, cells, below, top_cell, tops, in_roof, hist, counts):
-    height, roof_size, pushes, reductions, plus, minus = counts
+def _steps(letters, cols, tops, in_roof, hist, counts):
+    height, roof_size, reductions, plus, minus = counts
     for i, s in letters:
-        if in_roof[i] and cells[top_cell[i]] == -s * tops[i]:  # opposite colour
-            k = below[top_cell[i]]
-            top_cell[i] = k
-            tops[i] = abs(cells[k]) if k >= 0 else 0
+        if in_roof[i] and cols[i][-1] == -s * tops[i]:  # opposite colour
+            col = cols[i]
+            col.pop()
+            tops[i] = abs(col[-1]) if col else 0
             reductions += 1
             old_roof = roof_size
             for j in range(i - 1, i + 2):  # a sentinel fails tops[j] > 0 and keeps 0
@@ -275,10 +271,10 @@ def _steps(letters, cells, below, top_cell, tops, in_roof, hist, counts):
             if c > t:
                 t = c
             t += 1
-            cells[pushes] = s * t
-            below[pushes] = top_cell[i]
-            top_cell[i] = pushes
-            pushes += 1
+            col = cols[i]
+            if col is None:
+                col = cols[i] = array("i")
+            col.append(s * t)
             tops[i] = t
             if t > height:
                 height = t
@@ -287,16 +283,17 @@ def _steps(letters, cells, below, top_cell, tops, in_roof, hist, counts):
             in_roof[i] = 1
             in_roof[i + 1] = 0
         hist[roof_size] += 1
-    counts[:] = height, roof_size, pushes, reductions, plus, minus
+    counts[:] = height, roof_size, reductions, plus, minus
 
 
 def run_trial(params: WalkParams, trial_index: int, engine: str = "auto") -> WalkStats:
     """
     Execute one trial deterministically, through the step kernel shared
-    by both modes, with one of `steps` preallocated slots per push. The
-    letters arrive in runs (see _runs): burn-in runs count their roof
-    sizes into a throwaway histogram, and the window's reduction counts
-    are the run totals less their values at burn_in.
+    by both modes, which keeps the heap as one stack per column, made at
+    the column's first push. The letters arrive in runs (see _runs):
+    burn-in runs count their roof sizes into a throwaway histogram, and
+    the window's reduction counts are the run totals less their values
+    at burn_in.
 
     engine: "auto" and "python" run the kernel, "numba" raises
     RuntimeError (no compiled engine exists; callers probe for one this
@@ -308,23 +305,18 @@ def run_trial(params: WalkParams, trial_index: int, engine: str = "auto") -> Wal
         raise RuntimeError("no numba engine: the kernel runs interpreted only")
 
     n, burn_in, every = params.n, params.burn_in, params.snapshot_every
-    cells = array("i", [0]) * params.steps
-    below = array("i", cells)
-    top_cell, tops, in_roof = [-1] * (n + 2), [0] * (n + 2), [0] * (n + 2)
+    cols, tops, in_roof = [None] * (n + 2), [0] * (n + 2), [0] * (n + 2)
     hist, burn_hist = [0] * (n + 1), [0] * (n + 1)
-    counts = [0] * 6  # height, roof size, pushes, reductions, plus, minus
+    counts = [0] * 5  # height, roof size, reductions, plus, minus
     at_burn_in = counts[:]
     snapshots = []
     for end, letters in _runs(params, trial_index, every):
-        _steps(
-            letters, cells, below, top_cell, tops, in_roof,
-            hist if end > burn_in else burn_hist, counts,
-        )
+        _steps(letters, cols, tops, in_roof, hist if end > burn_in else burn_hist, counts)
         if end == burn_in:
             at_burn_in = counts[:]
         if every and end % every == 0:
             snapshots.append((end, tuple(tops[1:-1]), tuple(in_roof[1:-1])))
-    height, _, pushes, reductions, plus, minus = counts
+    height, _, reductions, plus, minus = counts
     return WalkStats(
         n=n,
         mode=params.mode,
@@ -332,12 +324,12 @@ def run_trial(params: WalkParams, trial_index: int, engine: str = "auto") -> Wal
         trial_index=trial_index,
         burn_in=burn_in,
         window_steps=params.steps - burn_in,
-        final_length=pushes - reductions,
+        final_length=sum(map(len, filter(None, cols))),
         height=height,
         reductions=reductions,
-        reductions_window=reductions - at_burn_in[3],
-        roof_delta_plus_given_reduction=plus - at_burn_in[4],
-        roof_delta_minus_given_reduction=minus - at_burn_in[5],
+        reductions_window=reductions - at_burn_in[2],
+        roof_delta_plus_given_reduction=plus - at_burn_in[3],
+        roof_delta_minus_given_reduction=minus - at_burn_in[4],
         roof_hist=tuple(hist),
         snapshots=tuple(snapshots),
     )

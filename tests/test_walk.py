@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import random
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -14,6 +15,11 @@ from locfree.walk import GROUP, SEMIGROUP, WalkParams
 
 import heapcheck
 import rooflaw
+
+
+def _roof_size_sq_sum(st: walk.WalkStats) -> int:
+    """Sum over the trial's window of the squared roof size."""
+    return sum(k * k * c for k, c in enumerate(st.roof_hist))
 
 
 # --- params and streams ----------------------------------------------------
@@ -226,9 +232,11 @@ def test_pinned_long_run(mode, seed, digest):
 
 @pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
 def test_walk_memory_is_bounded_by_a_chunk(mode):
-    # a trial holds its two 4-byte slot arrays and one chunk of letters,
-    # the chain only the chunk; both held all 2 * 10^5 codes as a list,
-    # 16 B per step, before the letters were chunked
+    # a trial holds one 4-byte integer per heap cell, in its column's
+    # stack, and one chunk of letters: about 3.8 B per step in group mode
+    # and 5.1 in semigroup mode, against 9 B when every push took two
+    # 4-byte slots; the chain holds only the chunk. Both held all 2 * 10^5
+    # codes as a list, 16 B per step, before the letters were chunked
     steps = 200_000
     walk.run_trial(WalkParams(100, 1000, 1, 0, mode), 0)
     walk.roof_chain_run(100, 1000, 0, mode)
@@ -241,8 +249,47 @@ def test_walk_memory_is_bounded_by_a_chunk(mode):
         chain_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert trial_peak / steps < 12
+    assert trial_peak / steps < 7
     assert chain_peak / steps < 2
+
+
+@pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
+def test_walk_memory_at_large_n_is_linear_in_the_columns(mode):
+    # a short trial on 10^6 columns holds six sequences of n + O(1)
+    # 8-byte entries (stacks, tops, marks, two histograms and the stored
+    # histogram), 48 B per column, and a stack only for each column it
+    # pushes on; an empty array('i') per column up front adds 80 B more
+    n = 10**6
+    tracemalloc.start()
+    try:
+        walk.run_trial(WalkParams(n, 10, 1, 0, mode), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 64
+
+
+@pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
+def test_kernel_stacks_are_core_heap(mode):
+    # every cell, buried ones included, against core's heap, with each
+    # word fed to the kernel in two runs as _runs would
+    rng = random.Random(17)
+    signs = (1, -1) if mode == GROUP else (1,)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        word = [(rng.randint(1, n), rng.choice(signs)) for _ in range(rng.randint(0, 40))]
+        cols, tops, in_roof = [None] * (n + 2), [0] * (n + 2), [0] * (n + 2)
+        hist, counts = [0] * (n + 1), [0] * 5
+        cut = rng.randint(0, len(word))
+        walk._steps(iter(word[:cut]), cols, tops, in_roof, hist, counts)
+        walk._steps(iter(word[cut:]), cols, tops, in_roof, hist, counts)
+        heap = core.heap_from_word(word, n, mode)
+        stacks = tuple(tuple((abs(v), 1 if v > 0 else -1) for v in col or ()) for col in cols[1:-1])
+        assert stacks == heap.columns, word
+        assert (cols[0], cols[-1]) == (None, None)
+        assert tuple(in_roof[1:-1]) == tuple(abs(m) for m in core._roof_marks(heap.columns)), word
+        assert tops[1:-1] == [col[-1][0] if col else 0 for col in heap.columns]
+        assert sum(hist) == len(word)
 
 
 def test_pinned_stats():
@@ -279,7 +326,7 @@ def test_pinned_stats_n100(mode, seed, pinned):
     assert (
         st.final_length, st.height, st.reductions, st.reductions_window,
         st.roof_delta_plus_given_reduction, st.roof_delta_minus_given_reduction,
-        st.roof_size_sum, st.roof_size_sq_sum,
+        st.roof_size_sum, _roof_size_sq_sum(st),
     ) == pinned
 
 
@@ -381,7 +428,7 @@ def test_roof_fluctuations_shrink_with_n():
         p = WalkParams(n=n, steps=300_000, trials=2, seed=4, mode=SEMIGROUP)
         _, runs = walk.run_walk(p)
         mean = sum(t.roof_size_sum for t in runs)
-        sq = sum(t.roof_size_sq_sum for t in runs)
+        sq = sum(_roof_size_sq_sum(t) for t in runs)
         w = sum(t.window_steps for t in runs)
         ratios.append((sq / w) / (mean / w) ** 2 - 1)
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
@@ -648,7 +695,7 @@ def test_walk_roof_mean_matches_exact_law():
     _, runs = walk.run_walk(WalkParams(n=n, steps=20_000, trials=48, seed=12, mode=SEMIGROUP))
     moments = {
         1: [t.roof_size_sum / t.window_steps for t in runs],
-        2: [t.roof_size_sq_sum / t.window_steps for t in runs],
+        2: [_roof_size_sq_sum(t) / t.window_steps for t in runs],
     }
     for power, means in moments.items():
         exact = float(sum(k**power * p for k, p in enumerate(rooflaw.roof_law(n))))
