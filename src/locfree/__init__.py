@@ -21,8 +21,6 @@ from locfree.core import (
     Letter,
     NormalWord,
     Syllable,
-    canonical_key,
-    empty_heap,
     heap_from_word,
     normal_form_readout,
     push_letter,
@@ -37,8 +35,6 @@ __all__ = [
     "Letter",
     "NormalWord",
     "Syllable",
-    "canonical_key",
-    "empty_heap",
     "heap_from_word",
     "normal_form_readout",
     "push_letter",

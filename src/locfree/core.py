@@ -181,10 +181,6 @@ class ColoredHeap:
         return all(not col for col in self.columns)
 
 
-def empty_heap(n: int, mode: str = GROUP) -> ColoredHeap:
-    return ColoredHeap(n, mode)
-
-
 def _drop_push(columns: Columns, i: int, label: int, merge=None) -> Columns:
     """
     Push a piece labelled `label` onto column i (1-based) of raw columns.
@@ -258,7 +254,7 @@ def heap_from_word(letters, n: int, mode: str = GROUP) -> ColoredHeap:
     invariant under swapping adjacent input letters whose indices
     differ by 2 or more.
     """
-    return _push_all(empty_heap(n, mode), letters)
+    return _push_all(ColoredHeap(n, mode), letters)
 
 
 def _roof_marks(columns: Columns) -> tuple[int, ...]:

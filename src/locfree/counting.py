@@ -31,7 +31,7 @@ the semigroup and T_n Y_{K-1} for the projective variant, each from
 Y_1 = A_0 v; the restricted variant adds the tail Z_{K-m} and
 Z_{K-1-m} from a ring of the last m + 1 Z vectors. The same series
 gives the restricted syllable counts N_r(K, s) = [z^{K-s}] g_r^s, with
-g_r = A / (1 - d z), and the restricted growth base.
+g_r = A / (1 - d z), and every variant's growth base.
 
 T_n is never stored. Its action has the suffix-sum form
 
@@ -316,30 +316,6 @@ def lambda_max(n: int) -> float:
     return _eigenvalue(n, 1)
 
 
-def _restricted_growth(lam: float, r: int) -> float:
-    """
-    Growth base of the order-r restricted group at top eigenvalue lam:
-    1/z* where z* is the unique positive root of lam h(z) = 1.
-
-    On [0, 1) that is the sign of lam z A(z) - (1 - d z); h has
-    nonnegative coefficients, so lam h is strictly increasing and
-    bisection on [0, 1] suffices.
-    """
-    numer, d = _syllable_series(RESTRICTED, r)
-
-    def f(z: float) -> float:
-        return lam * z * sum(a * z**j for j, a in numer) - (1.0 - d * z)
-
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 1.0 / (0.5 * (lo + hi))
-
-
 def limit_log_volume(variant: str, r: int | None = None, n: int | None = None) -> float:
     """
     The K -> infinity logarithmic volume lim log(V(K)/V(K-1)).
@@ -355,14 +331,24 @@ def limit_log_volume(variant: str, r: int | None = None, n: int | None = None) -
 
 
 def _log_growth(variant: str, r: int | None, lam: float) -> float:
-    """The logarithmic volume at top eigenvalue lam."""
-    if variant == GROUP:
-        return math.log(2.0 * lam + 1.0)
-    if variant == SEMIGROUP:
-        return math.log(lam + 1.0)
-    if variant == PROJECTIVE:
-        return math.log(lam)
-    return math.log(_restricted_growth(lam, r))
+    """
+    The logarithmic volume at top eigenvalue lam: log(1/z*), z* the
+    positive root of lam h(z) = 1, that is of lam z A(z) = 1 - d z.
+
+    A one-term A = A_0 gives 1/z* = lam A_0 + d exactly. Otherwise h has
+    nonnegative coefficients, so lam h is strictly increasing on [0, 1),
+    and z* is bisected over doubles until the two ends are adjacent.
+    """
+    numer, d = _syllable_series(variant, r)
+    if len(numer) == 1:
+        return math.log(lam * numer[0][1] + d)
+    lo, hi = 0.0, 1.0
+    while lo < (z := 0.5 * (lo + hi)) < hi:
+        if lam * z * sum(a * z**j for j, a in numer) < 1.0 - d * z:
+            lo = z
+        else:
+            hi = z
+    return math.log(1.0 / (0.5 * (lo + hi)))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ state of its orbit (_canonical), and _orbit_size gives the orbit's size.
 
 Cayley-ball counts (ball_counts) sum orbit sizes by depth. The exact
 walk statistics come from dynamic programming with integer path counts
-over the same table, with transition rows kept: exact_drift_series reads
+over the same table and its transition rows: exact_drift_series reads
 the orbit masses, exact_entropy and exact_entropy_series the per-state
 count mass/size of each orbit, and exact_distribution gives that count
 to every state of the orbit, expanded by _orbit. Agreement between these
@@ -34,18 +34,14 @@ gate of the package.
 Step t of the path counts reads only the orbits of depth <= t, a prefix
 of the breadth-first ids: an orbit of depth d carries no mass before
 step d. The steps' counts come one row at a time (_Interned.rows), and
-every caller folds each row as it comes, holding two at most (for
-exact_entropy(4, 10, SEMIGROUP) that took the tracemalloc peak from
-26.1 MB to 21.5 MB). exact_distribution reads only the last row; in
-semigroup mode its roof check folds the rows first, keeping of each
-only the counts of the orbits at that row's depth, one list by id, and
-hands back the last row. Once its roof and normalisation checks pass,
-exact_distribution releases the state map and the transition rows
-before it expands the orbits, and it shares one Fraction among all
-states with the same per-state count. For exact_distribution(4, 10,
-SEMIGROUP), in a fresh Python 3.11 process on a 2-vCPU Linux machine,
-the releases and the shared Fractions took the peak RSS from 61.2 MB to
-48.1 MB and the tracemalloc peak from 39.5 MB to 26.4 MB.
+every caller folds each row as it comes, holding two at most.
+exact_distribution reads only the last row; in semigroup mode its roof
+check folds the rows first, keeping of each only the counts of the
+orbits at that row's depth, one list by id, and hands back the last
+row. Once its roof and normalisation checks pass, exact_distribution
+releases the state map and the transition rows before it expands the
+orbits, and it shares one Fraction among all states with the same
+per-state count.
 
 Budgets are deliberately conservative and explicit. max_states bounds
 the orbits stored, and exact_distribution also bounds the states it
@@ -179,17 +175,16 @@ class _Interned:
     representative back to its id, and flip is the variant's label flip
     (see _letters). succ[sid] lists the representative's successors as
     representative ids, in letter order and repeats included (orbits
-    first reached at full depth are not stepped from); rows=False keeps
-    none and leaves succ None, for callers that read only the depths.
-    Path counts are constant on orbits, so rows yields the orbit
-    masses: the sums of the path counts over each orbit.
+    first reached at full depth are not stepped from). Path counts are
+    constant on orbits, so rows yields the orbit masses: the sums of the
+    path counts over each orbit.
     max_states=None means BALL_STATE_BUDGET; it bounds the orbits
     stored.
     """
 
     def __init__(
         self, n: int, steps: int, variant: str, r: int | None = None,
-        max_states: int | None = None, rows: bool = True,
+        max_states: int | None = None,
     ):
         if n < 1:
             raise ValueError("n must be >= 1")
@@ -222,18 +217,16 @@ class _Interned:
                         depth_of.append(depth)
                         nxt.append(tid)
                     row.append(tid)
-                if rows:
-                    succ.append(tuple(row))
+                succ.append(tuple(row))
             frontier = nxt
-        if rows:
-            succ.extend(() for _ in frontier)
+        succ.extend(() for _ in frontier)
         self.steps = steps
         self.base = len(letters)
         self.flip = flip
         self.states = states
         self.ids = ids
         self.depth_of = depth_of
-        self.succ = succ if rows else None
+        self.succ = succ
         self.sizes = [_orbit_size(s, flip) for s in states]
 
     def rows(self):
@@ -313,7 +306,7 @@ def ball_counts(
     core._check_variant(variant, r)
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    table = _Interned(n, radius, variant, r, max_states, rows=False)
+    table = _Interned(n, radius, variant, r, max_states)
     counts: dict[int, int] = {}
     for depth, size in zip(table.depth_of, table.sizes):
         counts[depth] = counts.get(depth, 0) + size

@@ -61,12 +61,16 @@ PERIODIC = "periodic"
 
 # Budgets per trial and per run, checked before any allocation. A trial
 # holds a 4-byte integer per heap cell, in its column's stack, and one
-# chunk of decoded letters; the roof chain only the chunk. A stack costs
-# about 100 B once its column is first pushed, so few steps per column
-# cost more per step. Peak RSS growth over 10^6 group steps, measured
-# with Python 3.11 on x86-64 Linux: 4.3 B per step at n = 100 and 13.5 B
-# at n = 10^5 for a trial, none for the chain; `walk --format csv` takes
-# up to 118 B per stored integer: about 0.1 + 1.2 GB at the bounds.
+# chunk of decoded letters; the roof chain only the chunk. A column's
+# stack costs about 96 B (sys.getsizeof) once it is first pushed, so few
+# steps per column cost more per step; a trial makes at most
+# min(n, steps) stacks, which the budgets do not count. Peak RSS growth
+# over 10^6 group steps, measured with Python 3.11 on x86-64 Linux:
+# 4.3 B per step at n = 100 and 13.5 B at n = 10^5 for a trial, none for
+# the chain; `walk --format csv` takes up to 118 B per stored integer.
+# At the bounds that is about 0.1 GB of cells, 0.6 GB of stacks (at
+# n = steps = 10^7 a trial pushes about (1 - 1/e) n columns) and 1.2 GB
+# of csv.
 MAX_STEPS = 10_000_000
 MAX_SLOTS = 10_000_000
 
@@ -324,7 +328,7 @@ def run_trial(params: WalkParams, trial_index: int, engine: str = "auto") -> Wal
         trial_index=trial_index,
         burn_in=burn_in,
         window_steps=params.steps - burn_in,
-        final_length=sum(map(len, filter(None, cols))),
+        final_length=params.steps - 2 * reductions,  # a step adds a cell or cancels one
         height=height,
         reductions=reductions,
         reductions_window=reductions - at_burn_in[2],

@@ -423,6 +423,41 @@ def test_limit_log_volume_finite_n():
     vols = [counting.limit_log_volume(GROUP, n=n) for n in (2, 4, 8, 16, 64)]
     assert all(a < b for a, b in zip(vols, vols[1:]))
     assert vols[-1] < math.log(7)
+    # a one-term syllable series gives the growth base exactly
+    for n in (1, 2, 5, 60, None):
+        lam = 3.0 if n is None else counting.lambda_max(n)
+        assert counting.limit_log_volume(GROUP, n=n) == math.log(2.0 * lam + 1.0)
+        assert counting.limit_log_volume(SEMIGROUP, n=n) == math.log(lam + 1.0)
+        if n != 1:
+            assert counting.limit_log_volume(PROJECTIVE, n=n) == math.log(lam)
+    # the bisected restricted growth bases, to the last bit
+    for (r, n), expected in {
+        (3, 5): 1.502734096604658,
+        (3, 60): 1.7883331550397308,
+        (3, None): 1.7917594692280554,
+        (4, 5): 1.5989978864178616,
+        (4, 60): 1.8630675645403412,
+        (4, None): 1.8662640412588716,
+        (5, 5): 1.674501471180733,
+        (5, 60): 1.9245585610701181,
+        (5, None): 1.9275982690618079,
+        (12, 5): 1.703552524707952,
+        (12, 60): 1.942944453010682,
+        (12, None): 1.9458810019006552,
+    }.items():
+        assert counting.limit_log_volume(RESTRICTED, r, n) == expected, (r, n)
+
+
+def test_restricted_order_two_volume_is_projective():
+    # f^2 = 1 and f^2 = f have the same syllable series, hence the same
+    # growth base, bit for bit; at n = 1 (lambda_max 0) neither has one
+    for n in [*range(2, 61), None]:
+        assert counting.limit_log_volume(RESTRICTED, 2, n) == (
+            counting.limit_log_volume(PROJECTIVE, n=n)
+        ), n
+    for variant, r in ((PROJECTIVE, None), (RESTRICTED, 2)):
+        with pytest.raises(ValueError):
+            counting.limit_log_volume(variant, r, 1)
 
 
 def test_log_volume_estimate_free_group():

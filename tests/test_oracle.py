@@ -132,7 +132,7 @@ def test_ball_states_are_heap_columns(n, mode, signs):
         itertools.product(letters, repeat=k) for k in range(4)
     )
     heaps = {core.heap_from_word(w, n, mode).columns for w in words}
-    table = oracle._Interned(n, 3, mode, rows=False)
+    table = oracle._Interned(n, 3, mode)
     states = set()
     for rep, size in zip(table.states, table.sizes):
         orbit = oracle._orbit(rep, table.flip)
@@ -181,7 +181,7 @@ def test_orbit_representatives_and_sizes(variant, r):
     # at even r is its own flip), and the orbits tile the brute-force ball
     flip = oracle._letters(1, variant, r)[2]
     for n in (1, 2, 3):
-        table = oracle._Interned(n, 4, variant, r, rows=False)
+        table = oracle._Interned(n, 4, variant, r)
         full = _brute_census(n, 4, variant, r)
         covered = set()
         for rep, size in zip(table.states, table.sizes):
@@ -278,7 +278,7 @@ def test_distribution_digests_pinned():
 
 def test_distribution_two_steps():
     dist = oracle.exact_distribution(2, 2, GROUP)
-    key_id = core.empty_heap(2).columns
+    key_id = core.ColoredHeap(2).columns
     key_f1f2 = core.heap_from_word([(1, 1), (2, 1)], 2).columns
     assert dist.probabilities[key_id] == Fraction(1, 4)
     assert dist.probabilities[key_f1f2] == Fraction(1, 16)
@@ -317,12 +317,6 @@ def test_roof_recursion_check_catches_corruption():
         bad[t][sid] += 1
         with pytest.raises(AssertionError):
             table.check_roof_recursion(bad)
-
-
-def test_ball_keeps_no_transition_rows():
-    assert oracle._Interned(3, 3, GROUP, rows=False).succ is None
-    table = oracle._Interned(3, 3, GROUP)
-    assert len(table.succ) == len(table.states)
 
 
 def test_distribution_support_within_ball():

@@ -154,7 +154,7 @@ def _replay(p: WalkParams, trial: int) -> walk.WalkStats:
     every statistic read off core's heap and its roof marks: a reference
     that shares no code with the step kernel.
     """
-    heap = core.empty_heap(p.n, p.mode)
+    heap = core.ColoredHeap(p.n, p.mode)
     height = reductions = red_window = plus = minus = 0
     hist = [0] * (p.n + 1)
     snapshots = []
