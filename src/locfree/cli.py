@@ -309,7 +309,7 @@ def run_command(argv) -> int:
             _emit_json(record, args.out)
         else:
             _csv(args, *record, args.out)
-    except (ValueError, OSError, oracle_mod.BudgetExceeded) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -43,6 +43,8 @@ size drives the drift and entropy estimators in the walk module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
+from typing import NamedTuple
 
 GROUP = "group"
 SEMIGROUP = "semigroup"
@@ -78,9 +80,8 @@ def _check_variant(variant: str, r) -> None:
         raise ValueError("r is only meaningful for the restricted variant")
 
 
-@dataclass(frozen=True)
-class Letter:
-    """A single generator letter f_index^sign, sign in {+1, -1}."""
+class Letter(NamedTuple):
+    """A generator letter f_index^sign, sign in {+1, -1}: an (index, sign) pair."""
 
     index: int
     sign: int = 1
@@ -89,8 +90,7 @@ class Letter:
         return Letter(self.index, -self.sign)
 
 
-@dataclass(frozen=True)
-class Syllable:
+class Syllable(NamedTuple):
     """A maximal run f_index^exponent in a normal form; exponent != 0."""
 
     index: int
@@ -215,14 +215,13 @@ def _cancel(top: int, sign: int) -> int | None:
 def _push_all(heap: ColoredHeap, letters) -> ColoredHeap:
     """
     Left fold of _drop_push over raw columns, checking each letter, with
-    one ColoredHeap built at the end. Letters are Letter values or bare
-    (index, sign) pairs.
+    one ColoredHeap built at the end. Each letter is an (index, sign)
+    pair, a Letter or a bare tuple; anything else raises ValueError.
     """
     n, mode = heap.n, heap.mode
     merge = _cancel if mode == GROUP else None
     columns = heap.columns
-    for item in letters:
-        i, s = (item.index, item.sign) if isinstance(item, Letter) else (item[0], item[1])
+    for i, s in letters:
         if not 1 <= i <= n:
             raise ValueError(f"letter index {i} out of range 1..{n}")
         if s not in (1, -1):
@@ -281,35 +280,31 @@ def normal_form_readout(heap: ColoredHeap) -> NormalWord:
     hence share a color, and merge into a syllable. The output spells
     a word whose heap is the input; ties cannot arise because adjacent
     columns never hold cells at equal levels.
+
+    Emitting from column i raises only low[i], the level of its lowest
+    remaining cell (inf once empty, and at the sentinels 0 and n + 1), so
+    the scan resumes at i - 1: O(n + K) in all.
     """
-    n = heap.n
-    pending = heap.columns
-    ptr = [0] * n
-    remaining = heap.length
+    n, cols = heap.n, heap.columns
+    low = [inf, *(col[0][0] if col else inf for col in cols), inf]
+    ptr = [0] * (n + 1)  # ptr[i]: cells of column i emitted so far
     runs: list[list[int]] = []  # [index, signed exponent]
-
-    def lowest(j: int) -> int | None:
-        return pending[j][ptr[j]][0] if ptr[j] < len(pending[j]) else None
-
-    while remaining:
-        for i in range(n):
-            lvl = lowest(i)
-            if lvl is None:
-                continue
-            lo_left = lowest(i - 1) if i >= 1 else None
-            lo_right = lowest(i + 1) if i < n - 1 else None
-            if (lo_left is None or lvl < lo_left) and (lo_right is None or lvl < lo_right):
-                color = pending[i][ptr[i]][1]
-                if runs and runs[-1][0] == i + 1:
-                    runs[-1][1] += color
-                else:
-                    runs.append([i + 1, color])
-                ptr[i] += 1
-                remaining -= 1
-                break
+    i = 1
+    while i <= n:
+        if low[i] < low[i - 1] and low[i] < low[i + 1]:
+            col = cols[i - 1]
+            color = col[ptr[i]][1]
+            if runs and runs[-1][0] == i:
+                runs[-1][1] += color
+            else:
+                runs.append([i, color])
+            ptr[i] += 1
+            low[i] = col[ptr[i]][0] if ptr[i] < len(col) else inf
+            i = max(i - 1, 1)
         else:
-            raise ValueError("heap has no emittable cell; support invariant broken")
-
+            i += 1
+    if min(low) < inf:
+        raise ValueError("heap has no emittable cell; support invariant broken")
     word = NormalWord(tuple(Syllable(i, e) for i, e in runs), n)
     validate_normal_word(word)
     return word

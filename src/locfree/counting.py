@@ -324,7 +324,8 @@ def limit_log_volume(variant: str, r: int | None = None, n: int | None = None) -
     n=None it returns the n -> infinity value (top eigenvalue 3):
     log 7 (group), log 4 (semigroup), log 3 (projective), and for the
     restricted variant log 3, log 6, log(3 + 2 sqrt 3), ... increasing
-    to log 7 as r grows.
+    to log 7 as r grows. At n = 1 the projective and restricted
+    quotients are finite, and this raises ValueError.
     """
     _check_variant(variant, r)
     return _log_growth(variant, r, 3.0 if n is None else lambda_max(n))
@@ -338,8 +339,15 @@ def _log_growth(variant: str, r: int | None, lam: float) -> float:
     A one-term A = A_0 gives 1/z* = lam A_0 + d exactly. Otherwise h has
     nonnegative coefficients, so lam h is strictly increasing on [0, 1),
     and z* is bisected over doubles until the two ends are adjacent.
+    lam = 0 only at n = 1, where the counts are h's coefficients; when h
+    is a polynomial (d = 0 or A(1) = 0: the projective and every
+    restricted variant) the quotient is finite and this raises ValueError.
     """
     numer, d = _syllable_series(variant, r)
+    if lam == 0.0 and (d == 0 or sum(a for _, a in numer) == 0):
+        raise ValueError(
+            f"volume is undefined for the {variant} variant at n=1: its word counts vanish"
+        )
     if len(numer) == 1:
         return math.log(lam * numer[0][1] + d)
     lo, hi = 0.0, 1.0
@@ -382,16 +390,8 @@ def volume_report(n: int, k_max: int, variant: str, r: int | None = None) -> Vol
     # first, so that an n over the eigenvalue budget fails before counting
     lam = lambda_max(n)
     counts = count_words_range(n, k_max, variant, r)
-    if not all(counts) or (lam == 0.0 and variant in (PROJECTIVE, RESTRICTED)):
-        # at n = 1 (lambda_max 0) the projective and restricted variants
-        # are finite: their counts vanish and no log ratio exists
-        raise ValueError(
-            f"volume is undefined for the {variant} variant at n={n}: "
-            "its word counts vanish"
-        )
-    ratios = [
-        float(Fraction(counts[k], counts[k - 1])) for k in range(1, k_max)
-    ]
+    finite_n_limit = _log_growth(variant, r, lam)  # before any ratio of vanishing counts
+    ratios = [float(Fraction(counts[k], counts[k - 1])) for k in range(1, k_max)]
     accel = None
     if len(ratios) >= 3:
         r0, r1, r2 = ratios[-3], ratios[-2], ratios[-1]
@@ -406,6 +406,6 @@ def volume_report(n: int, k_max: int, variant: str, r: int | None = None) -> Vol
         log_ratios=tuple(math.log(x) for x in ratios),
         ratio_last=ratios[-1],
         ratio_accelerated=accel,
-        finite_n_limit=_log_growth(variant, r, lam),
+        finite_n_limit=finite_n_limit,
         asymptotic_limit=limit_log_volume(variant, r),
     )

@@ -48,7 +48,8 @@ the orbits stored, and exact_distribution also bounds the states it
 returns by it. Callers may raise them (the acceptance suite does, for
 the n=2 group at N=12, whose ball holds about 1.06 million states in
 132,867 orbits), but exceeding a budget is an error, never a silent
-truncation.
+truncation: BudgetExceeded, a ValueError like every budget error of the
+walk and counting modules.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from locfree import core
 from locfree.core import GROUP, PROJECTIVE, SEMIGROUP
@@ -67,7 +69,7 @@ BALL_STATE_BUDGET = 2_000_000
 DEFAULT_DISTRIBUTION_LIMITS = {GROUP: (3, 8), SEMIGROUP: (4, 10)}
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(ValueError):
     """An enumeration outgrew its configured state budget."""
 
 
@@ -178,8 +180,8 @@ class _Interned:
     first reached at full depth are not stepped from). Path counts are
     constant on orbits, so rows yields the orbit masses: the sums of the
     path counts over each orbit.
-    max_states=None means BALL_STATE_BUDGET; it bounds the orbits
-    stored.
+    max_states=None means BALL_STATE_BUDGET; budget, the resolved
+    value, bounds the orbits stored.
     """
 
     def __init__(
@@ -188,7 +190,7 @@ class _Interned:
     ):
         if n < 1:
             raise ValueError("n must be >= 1")
-        budget = BALL_STATE_BUDGET if max_states is None else max_states
+        self.budget = budget = BALL_STATE_BUDGET if max_states is None else max_states
         letters, merge, flip = _letters(n, variant, r)
         push = core._drop_push
         canonical = _canonical
@@ -354,10 +356,11 @@ def exact_distribution(
     # free the state map and the transition rows before the Fractions
     # are built
     table.ids = table.succ = None
-    budget = BALL_STATE_BUDGET if max_states is None else max_states
     support = sum(size for mass, size in zip(final, table.sizes) if mass)
-    if support > budget:
-        raise BudgetExceeded(f"{mode} distribution support of {support} states exceeds {budget}")
+    if support > table.budget:
+        raise BudgetExceeded(
+            f"{mode} distribution support of {support} states exceeds {table.budget}"
+        )
     probs = {}
     shared: dict[int, Fraction] = {}  # one Fraction per distinct per-state count
     for rep, mass, size in zip(table.states, final, table.sizes):
@@ -388,17 +391,6 @@ def exact_drift_series(
     ]
 
 
-def _entropy_rate(masses: list[int], table: _Interned, t: int) -> float:
-    """H(mu_t)/t from the orbit masses of step t; see exact_entropy."""
-    denom = table.base**t
-    acc = 0.0
-    for mass, size in zip(masses, table.sizes):
-        c = _per_state(mass, size)
-        if c > 1:
-            acc += mass * math.log(c)
-    return (math.log(denom) - acc / denom) / t
-
-
 def exact_entropy(n: int, N: int, mode: str = GROUP, max_states: int | None = None) -> float:
     """
     Shannon entropy rate H(mu_N)/N of the exact N-step distribution.
@@ -409,8 +401,7 @@ def exact_entropy(n: int, N: int, mode: str = GROUP, max_states: int | None = No
     carries c = C(O)/|O| of its mass C(O), so the sum is
     sum_O C(O) log(C(O)/|O|).
     """
-    table = _interned(n, N, mode, max_states)
-    return _entropy_rate(next(itertools.islice(table.rows(), N, None)), table, N)
+    return exact_entropy_series(n, N, mode, max_states)[-1]
 
 
 def exact_entropy_series(
@@ -423,7 +414,15 @@ def exact_entropy_series(
     table = _interned(n, N, mode, max_states)
     rows = table.rows()
     next(rows)  # step 0
-    return [_entropy_rate(masses, table, t) for t, masses in enumerate(rows, 1)]
+    series = []
+    for t, masses in enumerate(rows, 1):
+        denom = table.base**t
+        acc = 0.0  # sum_O C(O) log(C(O)/|O|), see exact_entropy
+        for mass, size in zip(masses, table.sizes):
+            if mass and (c := _per_state(mass, size)) > 1:
+                acc += mass * math.log(c)
+        series.append((math.log(denom) - acc / denom) / t)
+    return series
 
 
 def brute_restricted(r: int, K: int, s: int) -> int:
@@ -441,21 +440,15 @@ def brute_restricted(r: int, K: int, s: int) -> int:
     if not 1 <= s <= K:
         return 0
     geo = [min(e, r - e) for e in range(r)]
-    memo: dict[tuple[int, int], int] = {}
 
+    @cache
     def count(slots: int, remaining: int) -> int:
         if slots == 0:
             return 1 if remaining == 0 else 0
         if remaining < slots:  # every class has geodesic length >= 1
             return 0
-        got = memo.get((slots, remaining))
-        if got is None:
-            got = sum(
-                count(slots - 1, remaining - geo[e])
-                for e in range(1, r)
-                if geo[e] <= remaining
-            )
-            memo[slots, remaining] = got
-        return got
+        return sum(
+            count(slots - 1, remaining - geo[e]) for e in range(1, r) if geo[e] <= remaining
+        )
 
     return count(s, K)

@@ -1,5 +1,6 @@
 """CLI surface: output shapes, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -27,7 +28,9 @@ def run(capsys, *argv):
 # --- count -------------------------------------------------------------------
 
 
-README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+README = os.path.join(ROOT, "README.md")
+DIGESTS = os.path.join(ROOT, "perfbench", "digests.json")
 README_COUNT = "locfree count --variant group --n 3 --k-max 2"
 
 
@@ -145,13 +148,25 @@ def test_volume_csv_k_column_starts_at_two(capsys):
         assert math.isclose(float(line.split(",")[3]), math.log(2.0), rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("variant", [["projective"], ["restricted", "--r", "2"]])
+@pytest.mark.parametrize(
+    "variant", [["projective"], ["restricted", "--r", "2"], ["restricted", "--r", "5"]]
+)
 def test_volume_of_a_finite_variant_exits_2(capsys, variant):
-    # at n = 1 both variants are finite: V(1, K) vanishes for K >= 2
+    # at n = 1 these variants are finite: V(1, K) vanishes for K > r/2
+    # (K >= 2 for the projective one)
     code, out, err = run(capsys, "volume", "--variant", *variant, "--n", "1", "--k-max", "3")
     assert code == 2
     assert out == ""
     assert f"error: volume is undefined for the {variant[0]} variant at n=1" in err
+
+
+def test_volume_count_budget_comes_first(capsys):
+    # an over-budget k_max fails as such before the finite-variant check
+    code, out, err = run(capsys, "volume", "--variant", "restricted", "--r", "5", "--n", "1",
+                         "--k-max", "5000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "counts are budgeted" in err
 
 
 def test_volume_n1_group_and_semigroup_still_report(capsys):
@@ -573,3 +588,18 @@ def test_walk_burn_in_validation_maps_to_two(capsys):
     )
     assert code == 2
     assert err.startswith("error:")
+
+
+# --- byte identity -----------------------------------------------------------
+
+
+def test_recorded_digests(capsys):
+    # every command keyed in the benchmark's digest file, full and toy
+    # sizes, still prints the recorded bytes
+    with open(DIGESTS, encoding="utf-8") as f:
+        digests = json.load(f)
+    assert len(digests) >= 16
+    for key, digest in digests.items():
+        code, out, _ = run(capsys, *key.split())
+        assert code == 0, key
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, key

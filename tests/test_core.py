@@ -58,6 +58,16 @@ def test_push_rejects_bad_letters():
                 core.heap_from_word([(2, 1), letter], 3, mode)
 
 
+def test_letters_are_index_sign_pairs():
+    assert Letter(2, -1) == (2, -1)
+    assert hash(Letter(2, -1)) == hash((2, -1))
+    assert repr(Letter(1)) == "Letter(index=1, sign=1)"
+    assert Letter(2, -1).inverse() == Letter(2, 1)
+    # a letter is a pair: a longer tuple is an error, not its first two entries
+    with pytest.raises(ValueError):
+        core.heap_from_word([(1, 1, 9)], 2)
+
+
 def test_semigroup_never_cancels():
     h = core.heap_from_word([F1] * 5, 3, SEMIGROUP)
     assert h.length == 5
@@ -214,6 +224,17 @@ def test_round_trip_random():
         w = core.normal_form_readout(h)
         assert w.length == h.length
         assert core.heap_from_word(w.letters(), n, mode) == h
+
+
+def test_round_trip_wide_strips():
+    # n up to 40 with long words: the readout's scan resumes at i - 1
+    # after most emissions, far from column 1
+    rng = random.Random(404)
+    for _ in range(500):
+        n = rng.randint(1, 40)
+        h = core.heap_from_word(random_word(rng, n, 200), n)
+        letters = core.normal_form_readout(h).letters()
+        assert core.heap_from_word(letters, n).columns == h.columns
 
 
 def test_cancellation_random():

@@ -450,14 +450,18 @@ def test_limit_log_volume_finite_n():
 
 def test_restricted_order_two_volume_is_projective():
     # f^2 = 1 and f^2 = f have the same syllable series, hence the same
-    # growth base, bit for bit; at n = 1 (lambda_max 0) neither has one
+    # growth base, bit for bit
     for n in [*range(2, 61), None]:
         assert counting.limit_log_volume(RESTRICTED, 2, n) == (
             counting.limit_log_volume(PROJECTIVE, n=n)
         ), n
-    for variant, r in ((PROJECTIVE, None), (RESTRICTED, 2)):
-        with pytest.raises(ValueError):
+    # at n = 1 (lambda_max 0) the projective and every restricted quotient
+    # is finite, so none has a volume; the group and semigroup grow by 1
+    for variant, r in ((PROJECTIVE, None), *((RESTRICTED, r) for r in range(2, 9))):
+        with pytest.raises(ValueError, match="volume is undefined"):
             counting.limit_log_volume(variant, r, 1)
+    for variant in (GROUP, SEMIGROUP):
+        assert counting.limit_log_volume(variant, n=1) == 0.0
 
 
 def test_log_volume_estimate_free_group():

@@ -144,6 +144,10 @@ def test_ball_states_are_heap_columns(n, mode, signs):
 def test_ball_budget():
     with pytest.raises(oracle.BudgetExceeded):
         oracle.ball_counts(3, 3, GROUP, max_states=10)
+    # one family with the walk and counting budget errors
+    assert issubclass(oracle.BudgetExceeded, ValueError)
+    with pytest.raises(ValueError, match="exceed 10"):
+        oracle.ball_counts(3, 3, GROUP, max_states=10)
 
 
 QUOTIENT_VARIANTS = [
