@@ -30,7 +30,7 @@ import sys
 
 from locfree import braid, counting, walk
 from locfree import oracle as oracle_mod
-from locfree.core import GROUP, PROJECTIVE, RESTRICTED, SEMIGROUP, VARIANTS
+from locfree.core import GROUP, MODES, PROJECTIVE, RESTRICTED, SEMIGROUP, VARIANTS
 
 
 def _sig12(x):
@@ -256,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_output(p, _cmd_spectrum)
 
     p = sub.add_parser("walk", help="seeded Monte Carlo walk")
-    p.add_argument("--mode", choices=(GROUP, SEMIGROUP), required=True)
+    p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--trials", type=int, default=1)
@@ -266,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_output(p, _cmd_walk)
 
     p = sub.add_parser("roof-chain", help="roof indicator Markov chain")
-    p.add_argument("--mode", choices=(GROUP, SEMIGROUP), default=SEMIGROUP)
+    p.add_argument("--mode", choices=MODES, default=SEMIGROUP)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)

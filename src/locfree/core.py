@@ -109,9 +109,6 @@ class NormalWord:
         """Reduced length K = sum of |exponent| over syllables."""
         return sum(abs(s.exponent) for s in self.syllables)
 
-    def index_sequence(self) -> tuple[int, ...]:
-        return tuple(s.index for s in self.syllables)
-
     def letters(self) -> list[Letter]:
         """Letter-by-letter spelling, one Letter per unit of length."""
         out: list[Letter] = []

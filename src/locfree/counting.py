@@ -258,6 +258,8 @@ def _eigenvalue(n: int, k: int) -> float:
     the nearer one. A midpoint that is itself the k-th root is returned
     as is (the roots 0, 1 and 2, for 3, 4 or 6 dividing n+2); every
     other root is irrational, so the exact midpoint is never a tie.
+    Without that exit the root 0 would be bisected down through the
+    subnormals: over 1000 sign counts instead of 2.
     """
     lo, hi = -1.0, 3.0
     while lo < (mid := (lo + hi) / 2) < hi:
@@ -391,7 +393,7 @@ def volume_report(n: int, k_max: int, variant: str, r: int | None = None) -> Vol
     lam = lambda_max(n)
     counts = count_words_range(n, k_max, variant, r)
     finite_n_limit = _log_growth(variant, r, lam)  # before any ratio of vanishing counts
-    ratios = [float(Fraction(counts[k], counts[k - 1])) for k in range(1, k_max)]
+    ratios = [counts[k] / counts[k - 1] for k in range(1, k_max)]  # int / int rounds correctly
     accel = None
     if len(ratios) >= 3:
         r0, r1, r2 = ratios[-3], ratios[-2], ratios[-1]

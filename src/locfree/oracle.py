@@ -179,18 +179,16 @@ class _Interned:
     representative ids, in letter order and repeats included (orbits
     first reached at full depth are not stepped from). Path counts are
     constant on orbits, so rows yields the orbit masses: the sums of the
-    path counts over each orbit.
-    max_states=None means BALL_STATE_BUDGET; budget, the resolved
-    value, bounds the orbits stored.
+    path counts over each orbit. budget bounds the orbits stored.
     """
 
     def __init__(
         self, n: int, steps: int, variant: str, r: int | None = None,
-        max_states: int | None = None,
+        budget: int = BALL_STATE_BUDGET,
     ):
         if n < 1:
             raise ValueError("n must be >= 1")
-        self.budget = budget = BALL_STATE_BUDGET if max_states is None else max_states
+        self.budget = budget
         letters, merge, flip = _letters(n, variant, r)
         push = core._drop_push
         canonical = _canonical
@@ -199,10 +197,10 @@ class _Interned:
         ids = {start: 0}
         depth_of = [0]
         succ: list[tuple[int, ...]] = []
-        frontier = [0]
+        lo = 0  # ids are breadth first: each depth's orbits are one id range
         for depth in range(1, steps + 1):
-            nxt = []
-            for sid in frontier:
+            hi = len(states)
+            for sid in range(lo, hi):
                 state = states[sid]
                 row = []
                 for i, label in letters:
@@ -217,11 +215,10 @@ class _Interned:
                         tid = ids[t] = len(states)
                         states.append(t)
                         depth_of.append(depth)
-                        nxt.append(tid)
                     row.append(tid)
                 succ.append(tuple(row))
-            frontier = nxt
-        succ.extend(() for _ in frontier)
+            lo = hi
+        succ.extend(() for _ in range(lo, len(states)))
         self.steps = steps
         self.base = len(letters)
         self.flip = flip
@@ -329,7 +326,8 @@ def _interned(n: int, steps: int, mode: str, max_states: int | None) -> _Interne
             f"exact {mode} distribution capped at n <= {n_cap}, N <= {steps_cap} "
             "by default; pass max_states to raise the budget"
         )
-    return _Interned(n, steps, mode, max_states=max_states)
+    budget = BALL_STATE_BUDGET if max_states is None else max_states
+    return _Interned(n, steps, mode, budget=budget)
 
 
 def exact_distribution(

@@ -68,9 +68,9 @@ PERIODIC = "periodic"
 # over 10^6 group steps, measured with Python 3.11 on x86-64 Linux:
 # 4.3 B per step at n = 100 and 13.5 B at n = 10^5 for a trial, none for
 # the chain; `walk --format csv` takes up to 118 B per stored integer.
-# At the bounds that is about 0.1 GB of cells, 0.6 GB of stacks (at
-# n = steps = 10^7 a trial pushes about (1 - 1/e) n columns) and 1.2 GB
-# of csv.
+# At the bounds that is about 0.1 GB of cells, 0.6 GB of stacks (at the
+# largest admitted n, 10^7 - 64, and 10^7 steps a trial pushes about
+# (1 - 1/e) n columns) and 1.2 GB of csv.
 MAX_STEPS = 10_000_000
 MAX_SLOTS = 10_000_000
 

@@ -68,7 +68,7 @@ def test_inequality_free_group_identity():
     assert abs(rep.epsilon) < 1e-12
 
 
-def test_inequality_validation():
+def test_inequality_validation(monkeypatch):
     with pytest.raises(ValueError):
         braid.inequality_report(math.log(7), 0.0, 1.0)
     with pytest.raises(ValueError):
@@ -77,6 +77,10 @@ def test_inequality_validation():
         braid.inequality_report(-1.0, 0.5, 1.0)
     with pytest.raises(ValueError):
         braid.inequality_report(math.log(7), 0.5, math.inf)
+    # a nonpositive grid minimum is reported as an inconsistency
+    monkeypatch.setattr(braid, "closed_form_epsilon", lambda alpha: 0.0)
+    with pytest.raises(ArithmeticError, match="strict positivity"):
+        braid.inequality_report(math.log(7), 2 / 3, math.log(3))
 
 
 def test_bounds_report_consistency():

@@ -101,11 +101,38 @@ def test_commuting_inputs_same_heap():
 
 def test_readout_succession_order():
     w = core.normal_form_readout(core.heap_from_word([F2, F1, F3], 3))
-    assert w.index_sequence() == (2, 1, 3)
+    assert tuple(s.index for s in w.syllables) == (2, 1, 3)
     # the other linearization of the same heap is not a normal form
     bad = core.NormalWord((Syllable(2, 1), Syllable(3, 1), Syllable(1, 1)), 3)
     with pytest.raises(ValueError):
         core.validate_normal_word(bad)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: core.validate_normal_word(core.NormalWord((), 0)), "alphabet size"),
+        (
+            lambda: core.validate_normal_word(core.NormalWord((Syllable(3, 1),), 2)),
+            "syllable index 3 out of range 1..2",
+        ),
+        (
+            lambda: core.validate_normal_word(core.NormalWord((Syllable(1, 0),), 2)),
+            "exponent must be nonzero",
+        ),
+        (lambda: core.ColoredHeap(0), "n must be >= 1"),
+        (lambda: core.ColoredHeap(2, GROUP, ((),)), "columns length must equal n"),
+        # two cells side by side at level 1: neither can be emitted first
+        (
+            lambda: core.normal_form_readout(core.ColoredHeap(2, GROUP, (((1, 1),), ((1, 1),)))),
+            "no emittable cell",
+        ),
+    ],
+    ids=["alphabet", "index", "exponent", "heap-n", "heap-columns", "readout"],
+)
+def test_structural_checks_fire(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_readout_empty():

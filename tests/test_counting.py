@@ -317,6 +317,39 @@ def test_spectrum_self_checks_fire(monkeypatch):
         counting.spectrum_numeric(30)
 
 
+def test_eigenvalue_sign_counts_are_bounded(monkeypatch):
+    # _eigenvalue returns an exact root (0, 1 or 2) at the first midpoint
+    # that hits it; without that exit the root 0 is bisected down through
+    # the subnormals, over 1000 sign counts. Every other root is isolated
+    # in about 60 halvings of (-1, 3).
+    calls = []
+    sign_count, eigenvalue = counting._sign_count, counting._eigenvalue
+    monkeypatch.setattr(counting, "_sign_count", lambda n, x: calls.append(x) or sign_count(n, x))
+    exact = 0
+    for n in range(1, 41):
+        eigs = counting.spectrum_numeric(n)
+        for v, d in ((0.0, 3), (1.0, 4), (2.0, 6)):
+            if (n + 2) % d == 0:
+                calls.clear()
+                assert eigenvalue(n, eigs.index(v) + 1) == v
+                assert len(calls) <= 2, (n, v)
+                exact += 1
+    assert exact == 14 + 10 + 7  # multiples of 3, 4 and 6 in 3..42
+
+    per_call = []
+
+    def counted(n, k):
+        calls.clear()
+        value = eigenvalue(n, k)
+        per_call.append(len(calls))
+        return value
+
+    monkeypatch.setattr(counting, "_eigenvalue", counted)
+    counting.spectrum_numeric(100)
+    assert len(per_call) == 50
+    assert max(per_call) <= 66
+
+
 def test_count_budget():
     for n, k_max in (
         (1, counting.COUNT_MAX_K + 1),

@@ -142,6 +142,10 @@ def test_ball_states_are_heap_columns(n, mode, signs):
 
 
 def test_ball_budget():
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        oracle.ball_counts(2, -1, GROUP)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        oracle.ball_counts(0, 2, GROUP)
     with pytest.raises(oracle.BudgetExceeded):
         oracle.ball_counts(3, 3, GROUP, max_states=10)
     # one family with the walk and counting budget errors
@@ -194,6 +198,32 @@ def test_orbit_representatives_and_sizes(variant, r):
             assert oracle._orbit(rep, table.flip) == orbit
             covered |= orbit
         assert covered == set(full) and sum(table.sizes) == len(full)
+
+
+@pytest.mark.parametrize("n,steps,variant,r", [
+    (2, 8, GROUP, None),
+    (4, 8, SEMIGROUP, None),
+    (3, 6, "projective", None),
+    (3, 5, "restricted", 5),
+    (1, 5, GROUP, None),
+    (3, 0, GROUP, None),
+])
+def test_ids_are_breadth_first(n, steps, variant, r):
+    # rows() and check_roof_recursion bisect depth_of, and the explorer
+    # steps from each depth's id range: the orbits of one depth must be
+    # one contiguous run of ids, in depth order
+    table = oracle._Interned(n, steps, variant, r)
+    depth_of = table.depth_of
+    assert depth_of == sorted(depth_of)
+    for d in set(depth_of):
+        lo = depth_of.index(d)
+        assert [sid for sid, e in enumerate(depth_of) if e == d] == list(
+            range(lo, lo + depth_of.count(d))
+        )
+    # full-depth orbits are not stepped from: one empty row each
+    assert len(table.succ) == len(table.states)
+    assert all(not row for row, d in zip(table.succ, depth_of) if d == steps)
+    assert all(len(row) == table.base for row, d in zip(table.succ, depth_of) if d < steps)
 
 
 @pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
@@ -496,3 +526,5 @@ def test_brute_restricted_guards():
         oracle.brute_restricted(8, 3, 1)
     with pytest.raises(ValueError):
         oracle.brute_restricted(3, 13, 1)
+    # no tuple of 0 or of more than K syllables has geodesic length K
+    assert oracle.brute_restricted(5, 3, 0) == oracle.brute_restricted(5, 3, 4) == 0
