@@ -26,6 +26,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 
 from locfree import braid, counting, walk
@@ -292,6 +293,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", dest="entropy", type=float, default=None)
     add_output(p, _cmd_inequality, formats=("json",))
 
+    # argparse takes "-2.5e-05", as repr() and the JSON print it, for an
+    # option unless the number pattern admits an exponent; it has no
+    # public setting for this pattern
+    number = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+    for p in sub.choices.values():
+        p._negative_number_matcher = number
     return parser
 
 

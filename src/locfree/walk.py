@@ -34,14 +34,15 @@ relaxation scale):
 Determinism: the letter stream of trial t is Philox counter-based
 random bits keyed by the 64-bit pair (seed, t), reduced modulo the
 letter count (bias below 2^-53 for n <= 2^10, since 2n divides into
-2^64 that evenly). The walks draw it in chunks of CHUNK codes from one
-Philox generator; Philox is counter-based, so these are the codes of a
-one-shot draw of the whole stream, bit for bit. Identical (params,
-trial_index) give bit-identical WalkStats on every platform: the step
-kernel manipulates integers only, and every floating point statistic is
-derived afterwards from those integers in a fixed order. One step
-kernel serves both modes (a positive letter never cancels) and keeps
-the heap as one growable stack per column, so it cannot overflow.
+2^64 that evenly). letter_stream is the one-call draw of the whole
+stream; the walks read the same codes CHUNK at a time from one Philox
+generator, which is counter-based, so the chunks are the one-call codes
+bit for bit, and the tests hold the two equal at chunk edges. Identical
+(params, trial_index) give bit-identical WalkStats on every platform:
+the step kernel manipulates integers only, and every floating point
+statistic is derived afterwards from those integers in a fixed order.
+One step kernel serves both modes (a positive letter never cancels) and
+keeps the heap as one growable stack per column, so it cannot overflow.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ PERIODIC = "periodic"
 MAX_STEPS = 10_000_000
 MAX_SLOTS = 10_000_000
 
-# Letter codes per draw of a trial's Philox generator (see _chunks).
+# Letter codes per draw of a trial's Philox generator (see _runs).
 CHUNK = 1 << 13
 
 
@@ -151,43 +152,34 @@ class WalkStats:
         return sum(k * c for k, c in enumerate(self.roof_hist))
 
     @property
-    def log_roof_sum(self) -> float:
-        """sum over the window of log(#T_j / n)."""
-        logn = math.log(self.n)
-        return sum(
-            c * (math.log(k) - logn) for k, c in enumerate(self.roof_hist) if c
-        )
-
-    @property
     def drift(self) -> float:
         return self.final_length / self.steps
 
 
-def _chunks(params: WalkParams, trial_index: int):
+def _draw(params: WalkParams, trial_index: int):
     """
-    The letter codes of one trial, CHUNK at a time, drawn from one
-    Philox generator keyed by the 64-bit pair (seed, trial_index); the
-    chunks concatenate to the one-shot draw (see the module docstring).
+    One trial's draw rule: a function that returns its next `size`
+    letter codes as int64, from one Philox generator keyed by the 64-bit
+    pair (seed, trial_index), reduced modulo the letter count.
     """
-    bitgen = np.random.Philox(key=np.array([params.seed, trial_index], dtype=np.uint64))
-    gen = np.random.Generator(bitgen)
+    gen = np.random.Generator(np.random.Philox(key=np.array([params.seed, trial_index], dtype=np.uint64)))
     base = np.uint64(2 * params.n if params.mode == GROUP else params.n)
-    for start in range(0, params.steps, CHUNK):
-        raw = gen.integers(0, 2**64, size=min(CHUNK, params.steps - start), dtype=np.uint64)
-        # in place; the codes fit in int64
-        np.remainder(raw, base, out=raw)
-        yield raw.view(np.int64)
+
+    def draw(size: int) -> np.ndarray:
+        return (gen.integers(0, 2**64, size=size, dtype=np.uint64) % base).astype(np.int64)
+
+    return draw
 
 
 def letter_stream(params: WalkParams, trial_index: int) -> np.ndarray:
     """
-    The deterministic letter codes of one trial, Philox keyed by the
-    64-bit pair (seed, trial_index): values in [0, 2n) for the group
-    (column = code // 2 + 1, sign = + for even codes), in [0, n) for the
-    semigroup (column = code + 1). The walks read the same codes chunk
-    by chunk and never hold this whole array.
+    The deterministic letter codes of one trial, drawn in one call:
+    values in [0, 2n) for the group (column = code // 2 + 1, sign = +
+    for even codes), in [0, n) for the semigroup (column = code + 1).
+    The walks read the same codes CHUNK at a time (see _runs) and never
+    hold this whole array.
     """
-    return np.concatenate(list(_chunks(params, trial_index)))
+    return _draw(params, trial_index)(params.steps)
 
 
 def _runs(params: WalkParams, trial_index: int, every: int):
@@ -203,17 +195,13 @@ def _runs(params: WalkParams, trial_index: int, every: int):
     must be used up before the next is asked for.
     """
     shift = 1 if params.mode == GROUP else 0
-    burn_in = params.burn_in
+    steps, burn_in = params.steps, params.burn_in
+    draw = _draw(params, trial_index)
     step = 0
-    for codes in _chunks(params, trial_index):
-        # in place where possible: one chunk-sized temporary at a time
-        signs = codes & shift
-        signs *= -2
-        signs += 1
-        signs = signs.tolist()
-        codes >>= shift
-        codes += 1
-        cols = codes.tolist()
+    while step < steps:
+        codes = draw(min(CHUNK, steps - step))
+        cols = ((codes >> shift) + 1).tolist()
+        signs = (1 - 2 * (codes & shift)).tolist()
         pairs = zip(cols, signs)
         end = step + len(cols)
         while step < end:
@@ -371,9 +359,13 @@ def entropy_estimate(runs: list[WalkStats]) -> float:
     if not runs:
         raise ValueError("no trials")
     if runs[0].mode == SEMIGROUP:
-        total = sum(t.log_roof_sum for t in runs)
-        steps = sum(t.window_steps for t in runs)
-        return -total / steps
+        # the window sum of log(n / #T_j), per trial and then over the
+        # trials: the recorded estimates round in this order
+        logn = math.log(runs[0].n)
+        total = sum(
+            sum(c * (logn - math.log(k)) for k, c in enumerate(t.roof_hist) if c) for t in runs
+        )
+        return total / sum(t.window_steps for t in runs)
     alpha, _ = alpha_estimate(runs)
     return math.log(3.0 - alpha)
 

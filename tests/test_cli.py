@@ -213,6 +213,15 @@ def test_walk_json_report(capsys):
     assert obj["alpha_hat"] is None
 
 
+def test_walk_semigroup_n1_prints_positive_zero_entropy(capsys):
+    with pytest.warns(UserWarning, match="fewer than 100 n steps"):
+        code, out, _ = run(
+            capsys, "walk", "--mode", "semigroup", "--n", "1", "--steps", "50", "--format", "json",
+        )
+    assert code == 0
+    assert '"entropy_estimate": 0.0,' in out
+
+
 def test_walk_out_reruns_byte_identical(capsys, tmp_path):
     argv = [
         "walk", "--format", "json", "--mode", "group",
@@ -414,6 +423,29 @@ def test_inequality_partial_triple_rejected(capsys):
     assert "all of" in err
 
 
+@pytest.mark.parametrize("argv", [["inequality"], ["braid-bounds", "--n", "5"]])
+def test_negative_alpha_in_exponent_notation(capsys, argv):
+    # repr() and the JSON print small floats as -2.5e-05; the parser takes
+    # them as values, not as unknown options
+    code, spaced, err = run(capsys, *argv, "--alpha", "-2.5e-05")
+    assert code == 0 and err == ""
+    assert (code, spaced) == run(capsys, *argv, "--alpha=-2.5e-05")[:2]
+
+
+def test_negative_seed_still_reaches_the_library_check(capsys):
+    code, out, err = run(
+        capsys, "walk", "--mode", "group", "--n", "3", "--steps", "10", "--seed", "-1", "--format", "json",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: seed must be")
+
+
+def test_inequality_negative_h_in_exponent_notation(capsys):
+    code, out, _ = run(capsys, "inequality", "--v", "1.9", "--l", "0.6", "--h", "-1e-3")
+    assert code == 0
+    assert json.loads(out)["h"] == -1e-3
+
+
 # --- exit codes -----------------------------------------------------------------
 
 
@@ -458,7 +490,7 @@ def test_spectrum_degree_budget_exits_two(capsys, argv):
 )
 def test_walk_budget_exits_two(capsys, monkeypatch, argv):
     _forbid(monkeypatch, "letter_stream")
-    _forbid(monkeypatch, "_chunks")
+    _forbid(monkeypatch, "_draw")
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

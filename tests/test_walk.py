@@ -47,7 +47,7 @@ def test_params_budget_rejects_before_allocation(monkeypatch):
         raise AssertionError("letter codes were drawn")
 
     monkeypatch.setattr(walk, "letter_stream", boom)
-    monkeypatch.setattr(walk, "_chunks", boom)
+    monkeypatch.setattr(walk, "_draw", boom)
     for bad in (
         dict(n=1, steps=walk.MAX_STEPS + 1),
         dict(n=1, steps=2**64 - 1),
@@ -84,7 +84,7 @@ def test_letter_stream_deterministic():
 
 
 def test_letter_codes_match_the_modulo_formula():
-    # the in-place reduction gives the codes of (raw % base).astype(int64)
+    # letter_stream gives the codes of an independent (raw % base).astype(int64)
     for mode in (GROUP, SEMIGROUP):
         for n, seed, stream in ((1, 0, 0), (3, 17, 2), (100, 5, 1), (1000, 2**40 + 3, 7)):
             raw = np.random.Generator(np.random.Philox(key=[seed, stream])).integers(
@@ -98,15 +98,22 @@ def test_letter_codes_match_the_modulo_formula():
 
 @pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
 def test_letter_stream_is_the_one_shot_draw_at_chunk_edges(mode):
-    # the chunks of one Philox generator concatenate to a single draw
+    # the walks read, CHUNK at a time, the letters of letter_stream's one call
     c = walk.CHUNK
     for steps in (c - 1, c, c + 1, 3 * c + 5):
         for n, seed, stream in ((3, 0, 0), (100, 2**63 + 9, 4)):
-            gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
-            raw = gen.integers(0, 2**64, size=steps, dtype=np.uint64)
-            one_shot = (raw % np.uint64(2 * n if mode == GROUP else n)).astype(np.int64)
-            codes = walk.letter_stream(WalkParams(n, steps, 1, seed, mode), stream)
-            assert codes.dtype == np.int64 and np.array_equal(codes, one_shot), (steps, n)
+            p = WalkParams(n, steps, 1, seed, mode)
+            codes = walk.letter_stream(p, stream).tolist()
+            if mode == GROUP:
+                one_shot = [(code // 2 + 1, 1 if code % 2 == 0 else -1) for code in codes]
+            else:
+                one_shot = [(code + 1, 1) for code in codes]
+            ends, read = [], []
+            for end, letters in walk._runs(p, stream, 0):
+                ends.append(end)
+                read.extend(letters)
+            assert ends == sorted({p.burn_in, *range(c, steps, c), steps}), (steps, n)
+            assert read == one_shot, (steps, n)
 
 
 def test_seeds_above_2_63_draw_their_own_streams():
@@ -420,6 +427,14 @@ def test_entropy_semigroup_near_log3():
     p = WalkParams(n=100, steps=200_000, trials=2, seed=7, mode=SEMIGROUP)
     _, runs = walk.run_walk(p)
     assert abs(walk.entropy_estimate(runs) - math.log(3)) < 0.03
+
+
+def test_entropy_semigroup_n1_is_positive_zero():
+    # the roof is the one column at every step: log(n / #T_j) = 0, not -0
+    with pytest.warns(UserWarning, match="fewer than 100 n steps"):
+        report, _ = walk.run_walk(WalkParams(1, 50, 1, 0, SEMIGROUP))
+    assert report["entropy_estimate"] == 0.0
+    assert math.copysign(1.0, report["entropy_estimate"]) == 1.0
 
 
 def test_roof_fluctuations_shrink_with_n():
