@@ -47,11 +47,12 @@ substitutes into Chebyshev polynomials of the second kind; its roots are
 x = 4 cos^2(pi k / (n+2)) - 1 for k = 1..floor((n+1)/2) plus -1 with
 multiplicity n - floor((n+1)/2). The high multiplicity of -1 makes
 generic dense eigensolvers useless here (they scatter that cluster by
-roughly eps^(1/multiplicity), around 1e-1 for n = 30), so each simple
-root is found by bisection on an exact Sturm-type sign count of the
-recursion, run in scaled big integers at the double being tested, and
-comes out as the correctly rounded double. The top eigenvalue alone
-costs one such bisection.
+roughly eps^(1/multiplicity), around 1e-1 for n = 30). So each simple
+root is bracketed around its closed-form value and then bisected over
+doubles, every step decided by an exact Sturm-type sign count of the
+recursion, run in scaled big integers at the double being tested. The
+root comes out as the correctly rounded double, certified by the counts
+alone, in about 5 counts. The top eigenvalue alone costs one such search.
 """
 
 from __future__ import annotations
@@ -199,8 +200,10 @@ def count_words_range(n: int, k_max: int, variant: str, r: int | None = None) ->
 # Spectrum
 
 # Largest n admitted by spectrum_numeric and lambda_max, checked before
-# any work. The spectrum costs ~n^3 and lambda_max ~n^2: 6.6 s at n = 400
-# and 4.8 s at n = 6000 on a 2-vCPU VM with Python 3.11.
+# any work. A sign count costs ~n^2 and a root about 5 of them, so the
+# spectrum costs ~n^3 and lambda_max ~n^2: 0.9 s at n = 400 and 0.6 s at
+# n = 6000 on a 2-vCPU VM with Python 3.11 (4.6 s and 3.7 s with the
+# bisection of all of (-1, 3) that the closed-form brackets replaced).
 SPECTRUM_MAX_N = 400
 LAMBDA_MAX_N = 6000
 
@@ -248,28 +251,66 @@ def _sign_count(n: int, x) -> tuple[int, bool]:
     return n - changes, cur == 0
 
 
+def _cosine_root(n: int, k: int, offset: int = 2) -> float:
+    """4 cos^2(pi k/(n+offset)) - 1 in doubles: the k-th root of a_n for offset 2."""
+    return 4.0 * math.cos(math.pi * k / (n + offset)) ** 2 - 1.0
+
+
 def _eigenvalue(n: int, k: int) -> float:
     """
     The k-th largest root of a_n other than -1, correctly rounded.
 
-    Bisects over doubles in (-1, 3), keeping at least k roots at or
-    above lo and fewer than k at or above hi, until the two ends are
-    adjacent doubles; the sign count at their exact midpoint then picks
-    the nearer one. A midpoint that is itself the k-th root is returned
-    as is (the roots 0, 1 and 2, for 3, 4 or 6 dividing n+2); every
-    other root is irrational, so the exact midpoint is never a tie.
-    Without that exit the root 0 would be bisected down through the
-    subnormals: over 1000 sign counts instead of 2.
+    Keeps at least k roots at or above lo and fewer than k at or above
+    hi, from the known ends lo = -1 (every simple root is above it) and
+    hi = 3 (_admit counted none at or above it), and moves one end to
+    each point counted between them. The first points come from the
+    closed-form guess g = 4 cos^2(pi k/(n+2)) - 1 and the absolute unit
+    u = ulp(max(|g|, 1)):
+
+    - g's nearest integer, if g is within 4 u of it: the only rational
+      roots other than -1 are 0, 1 and 2, as 4 cos^2 t - 1 = 1 + 2 cos 2t,
+      and at every admitted n their guesses miss them by at most 2 u;
+    - g - w u and g + w u for w = 1, 4, 16, ..., while either lies
+      between the ends; since u >= ulp(1) = 2^-52, w u passes 4, and so
+      both ends, by w = 4^27;
+    - 0, if the ends still straddle it, so that no guess can leave the
+      root 0 to be bisected down through the subnormals (over 1000
+      counts).
+
+    Then bisection over doubles runs until the ends are adjacent, and
+    the sign count at their exact midpoint picks the nearer one. A
+    counted point that is itself the k-th root is returned as is; every
+    other root is irrational, so the exact midpoint is never a tie. With
+    the closed form's guess a root takes about 5 counts, and a rational
+    one 1; a wrong guess costs more counts but no bit of the result,
+    which the exact counts alone decide.
     """
+    g = _cosine_root(n, k)
+    u = math.ulp(max(abs(g), 1.0))
+
+    def guesses():  # reads the current ends
+        near = float(round(g))
+        if abs(g - near) <= 4 * u:
+            yield near
+        w = u
+        while lo < g - w or g + w < hi:
+            yield g - w
+            yield g + w
+            w *= 4
+        yield 0.0
+
     lo, hi = -1.0, 3.0
-    while lo < (mid := (lo + hi) / 2) < hi:
-        count, is_root = _sign_count(n, mid)
+    points = guesses()
+    while (x := next(points, None)) is not None or lo < (x := (lo + hi) / 2) < hi:
+        if not lo < x < hi:
+            continue  # a guess outside the ends tells nothing new
+        count, is_root = _sign_count(n, x)
         if count < k:
-            hi = mid
+            hi = x
         elif is_root and count == k:
-            return mid
+            return x
         else:
-            lo = mid
+            lo = x
     return hi if _sign_count(n, (Fraction(lo) + Fraction(hi)) / 2)[0] >= k else lo
 
 
@@ -278,11 +319,12 @@ def spectrum_numeric(n: int) -> list[float]:
     All n eigenvalues of T_n, descending, each correctly rounded.
 
     The roots of a_n other than -1, as many as the sign count just
-    above -1, come one by one from an exact sign-count bisection on the
-    recursion, and -1 fills the rest. Checked: no root lies at or above
-    3, and the eigenvalues sum to trace(T_n) = 0 within 1e-9 n. The
-    closed form 4 cos^2(pi k/(n+2)) - 1 is deliberately not used here,
-    so the cosine formula can be tested against this output.
+    above -1, come one by one from _eigenvalue, and -1 fills the rest.
+    Checked: no root lies at or above 3, and the eigenvalues sum to
+    trace(T_n) = 0 within 1e-9 n. The closed form 4 cos^2(pi k/(n+2)) - 1
+    is only each root's starting guess: exact sign counts alone certify
+    every bit, so the cosine formula can still be tested against this
+    output.
     """
     _admit(n, SPECTRUM_MAX_N, "the full spectrum")
     simple = _sign_count(n, math.nextafter(-1.0, 0.0))[0]
@@ -301,10 +343,7 @@ def cosine_formula_spectrum(n: int, offset: int = 2) -> list[float]:
     a nearby wrong variant kept as a control so the comparison in the
     spectrum report demonstrably discriminates between the two.
     """
-    top = [
-        4.0 * math.cos(math.pi * k / (n + offset)) ** 2 - 1.0
-        for k in range(1, (n + 1) // 2 + 1)
-    ]
+    top = [_cosine_root(n, k, offset) for k in range(1, (n + 1) // 2 + 1)]
     return sorted(top + [-1.0] * (n - len(top)), reverse=True)
 
 

@@ -635,3 +635,25 @@ def test_recorded_digests(capsys):
         code, out, _ = run(capsys, *key.split())
         assert code == 0, key
         assert hashlib.sha256(out.encode()).hexdigest() == digest, key
+
+
+WALK_DIGESTS = {
+    "walk --mode group --n 100 --steps 20000 --trials 2 --seed 7 --format json":
+        "9e8c83aaaf6b2a85f4d1cef09dc149ca340ff80c4caa7eb57a3d614f6bba69bb",
+    "walk --mode semigroup --n 100 --steps 20000 --trials 2 --seed 7 --format json":
+        "a1e053117251f33e38643de583f1aaed0a52b15d74171fa1b7053143d924dc95",
+    "roof-chain --mode group --n 100 --steps 20000 --seed 7 --format json":
+        "8621d33fdf8237dc96fa3b45115292d6637cdb08e80ab4028f747b12b0bed286",
+    "roof-chain --mode semigroup --n 100 --steps 20000 --seed 7 --format json":
+        "8b33bde23c844c96081f893279abebe3b70b8cd7b4f5a880c245c7629898caea",
+}
+
+
+@pytest.mark.parametrize("key", WALK_DIGESTS)
+def test_walk_digests_pinned(capsys, key):
+    # 20000 steps cross two CHUNK edges of each trial's letter stream,
+    # so a change in the chunked draw or in the statistics shows here
+    assert 2 * walk.CHUNK < 20000
+    code, out, _ = run(capsys, *key.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == WALK_DIGESTS[key]

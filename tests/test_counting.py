@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -318,10 +319,12 @@ def test_spectrum_self_checks_fire(monkeypatch):
 
 
 def test_eigenvalue_sign_counts_are_bounded(monkeypatch):
-    # _eigenvalue returns an exact root (0, 1 or 2) at the first midpoint
-    # that hits it; without that exit the root 0 is bisected down through
-    # the subnormals, over 1000 sign counts. Every other root is isolated
-    # in about 60 halvings of (-1, 3).
+    # _eigenvalue counts a rational root (0, 1 or 2) first, at the
+    # integer its closed-form guess rounds to, and returns it there;
+    # without that exit the root 0 is bisected down through the
+    # subnormals, over 1000 sign counts. Every other root is bracketed
+    # around its guess: 8 counts at most at n = 100 and 4 for the top
+    # root at n = 6000, against about 55 for a bisection of (-1, 3).
     calls = []
     sign_count, eigenvalue = counting._sign_count, counting._eigenvalue
     monkeypatch.setattr(counting, "_sign_count", lambda n, x: calls.append(x) or sign_count(n, x))
@@ -332,7 +335,7 @@ def test_eigenvalue_sign_counts_are_bounded(monkeypatch):
             if (n + 2) % d == 0:
                 calls.clear()
                 assert eigenvalue(n, eigs.index(v) + 1) == v
-                assert len(calls) <= 2, (n, v)
+                assert len(calls) <= 1, (n, v)
                 exact += 1
     assert exact == 14 + 10 + 7  # multiples of 3, 4 and 6 in 3..42
 
@@ -347,7 +350,60 @@ def test_eigenvalue_sign_counts_are_bounded(monkeypatch):
     monkeypatch.setattr(counting, "_eigenvalue", counted)
     counting.spectrum_numeric(100)
     assert len(per_call) == 50
-    assert max(per_call) <= 66
+    assert max(per_call) <= 10
+    calls.clear()
+    eigenvalue(6000, 1)
+    assert len(calls) <= 8
+
+
+@pytest.mark.parametrize("wrong", ["offset1", "constant"])
+def test_wrong_guess_changes_no_bit(monkeypatch, wrong):
+    # the guess only orders the sign counts; the counts alone decide
+    sizes = (1, 2, 4, 10, 22, 45, 100)  # the roots 0, 1 and 2 among them
+    want = [[x.hex() for x in counting.spectrum_numeric(n)] for n in sizes]
+    top = counting.lambda_max(1000).hex()
+    cosine_root = counting._cosine_root
+    guess = {
+        "offset1": lambda n, k, offset=2: cosine_root(n, k, 1),  # the wrong closed form
+        "constant": lambda n, k, offset=2: 2.9,  # a constant, far from most roots
+    }[wrong]
+    monkeypatch.setattr(counting, "_cosine_root", guess)
+    # and it costs counts, but never the subnormal walk to the root 0:
+    # 85 counts at most here, over 1000 without the count at 0
+    calls, per_root = [], []
+    sign_count, eigenvalue = counting._sign_count, counting._eigenvalue
+    monkeypatch.setattr(counting, "_sign_count", lambda n, x: calls.append(x) or sign_count(n, x))
+
+    def counted(n, k):
+        calls.clear()
+        value = eigenvalue(n, k)
+        per_root.append(len(calls))
+        return value
+
+    monkeypatch.setattr(counting, "_eigenvalue", counted)
+    assert [[x.hex() for x in counting.spectrum_numeric(n)] for n in sizes] == want
+    assert counting.lambda_max(1000).hex() == top
+    assert max(per_root) <= 100
+
+
+def _hex_digest(rows):
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
+def test_spectrum_bits_pinned():
+    # recorded from the bisection of all of (-1, 3) that the guessed
+    # brackets replaced: every bit of every eigenvalue is unchanged
+    spectra = (
+        f"{n} " + " ".join(x.hex() for x in counting.spectrum_numeric(n)) for n in range(1, 121)
+    )
+    assert _hex_digest(spectra) == (
+        "bc6ad5522661a0d35c175332f84addf7575ec5a2958f31126b54999e5c0b0397"
+    )
+    assert _hex_digest([" ".join(x.hex() for x in counting.spectrum_numeric(400))]) == (
+        "1a5e18e40b2dd9ac6817d67fa4318709c65ebe63dd1b8f85c5d0e59662ff316f"
+    )
+    assert counting.lambda_max(1000).hex() == "0x1.7ffeb6271f710p+1"
+    assert counting.lambda_max(6000).hex() == "0x1.7ffff6ce970f4p+1"
 
 
 def test_count_budget():
