@@ -127,16 +127,19 @@ def _cmd_walk(args):
         snapshot_every=args.snapshot_every,
         burn_in=args.burn_in,
     )
+
+    def snapshots(trial):
+        return "step,column,top_level,in_roof", [
+            (step, col + 1, tops[col], roof[col])
+            for step, tops, roof in trial.snapshots
+            for col in range(params.n)
+        ]
+
+    if args.format == "csv":  # only trial 0 records snapshots
+        return snapshots(walk.run_trial(params, 0))
     report, runs = walk.run_walk(params)
-    snapshots = "step,column,top_level,in_roof", [
-        (step, col + 1, tops[col], roof[col])
-        for step, tops, roof in runs[0].snapshots
-        for col in range(params.n)
-    ]
-    if args.format == "csv":
-        return snapshots
     if args.snapshot_every > 0:
-        _csv(args, *snapshots, args.out + ".snapshots.csv")
+        _csv(args, *snapshots(runs[0]), args.out + ".snapshots.csv")
     return report
 
 

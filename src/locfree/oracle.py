@@ -43,13 +43,24 @@ releases the state map and the transition rows before it expands the
 orbits, and it shares one Fraction among all states with the same
 per-state count.
 
+States share their columns: the table pools one object per distinct
+column (_Interned.pool), and the states exact_distribution returns take
+their columns, flipped or not, from the pool and one flipped copy of
+each pooled column. A stored orbit then costs its n-tuple, its id, its
+transition row and its entries in the path-count rows, not fresh copies
+of its columns and cells.
+
 Budgets are deliberately conservative and explicit. max_states bounds
 the orbits stored, and exact_distribution also bounds the states it
 returns by it. Callers may raise them (the acceptance suite does, for
 the n=2 group at N=12, whose ball holds about 1.06 million states in
 132,867 orbits), but exceeding a budget is an error, never a silent
 truncation: BudgetExceeded, a ValueError like every budget error of the
-walk and counting modules.
+walk and counting modules. As memory: exact_drift_series(2, 12, GROUP)
+peaks at 49 MB RSS, and at N = 13 (398,588 orbits) at 115 MB, about
+260 B per orbit over the 16 MB of the interpreter with the package
+loaded (CPython 3.11, x86-64), so BALL_STATE_BUDGET orbits take roughly
+0.5 GB.
 """
 
 from __future__ import annotations
@@ -149,12 +160,25 @@ def _orbit_size(state, flip) -> int:
     return 2**moved * (1 if state[::-1] == state else 2)
 
 
-def _orbit(rep, flip) -> set:
-    """Every state of the orbit of rep: each column or its flip, then the reflection."""
-    if flip is None:
-        return {rep, rep[::-1]}
-    states = set(itertools.product(*({col, _flipped(col, flip)} for col in rep)))
-    return states | {state[::-1] for state in states}
+def _orbit(rep, flips):
+    """
+    Every state of the orbit of rep, each once: each column or its
+    flip, then the reflection. flips maps each column of rep to its
+    flipped column, itself where the flip fixes it, or is None where the
+    variant has no flip. rep's columns are canonical, so its reflection
+    lies in its flip orbit only if rep is its own reflection.
+    """
+    if flips is None:
+        states = (rep,)
+    else:
+        choices = ((col,) if flips[col] is col else (col, flips[col]) for col in rep)
+        states = itertools.product(*choices)
+    if rep[::-1] == rep:
+        yield from states
+    else:
+        for state in states:
+            yield state
+            yield state[::-1]
 
 
 def _per_state(mass: int, size: int) -> int:
@@ -180,6 +204,11 @@ class _Interned:
     first reached at full depth are not stepped from). Path counts are
     constant on orbits, so rows yields the orbit masses: the sums of the
     path counts over each orbit. budget bounds the orbits stored.
+
+    pool maps each distinct column of the stored states to the one
+    object they all hold. A new state differs from the state it was
+    pushed from in the pushed column only, which _canonical may flip
+    or carry to the mirror position, so one lookup pools it.
     """
 
     def __init__(
@@ -193,6 +222,7 @@ class _Interned:
         push = core._drop_push
         canonical = _canonical
         start = ((),) * n
+        pool = {(): ()}
         states = [start]
         ids = {start: 0}
         depth_of = [0]
@@ -212,6 +242,15 @@ class _Interned:
                                 f"{variant} states within {steps} pushes (n={n}) "
                                 f"exceed {budget}"
                             )
+                        # the pushed column is the only one not pooled: at
+                        # n - i if the state was mirrored, else at i - 1
+                        j = n - i if t[n - i] is not state[n - i] else i - 1
+                        col = t[j]
+                        pooled = pool.setdefault(col, col)
+                        if pooled is not col:
+                            t = list(t)
+                            t[j] = pooled
+                            t = tuple(t)
                         tid = ids[t] = len(states)
                         states.append(t)
                         depth_of.append(depth)
@@ -226,7 +265,23 @@ class _Interned:
         self.ids = ids
         self.depth_of = depth_of
         self.succ = succ
+        self.pool = pool
         self.sizes = [_orbit_size(s, flip) for s in states]
+
+    def flips(self) -> dict | None:
+        """
+        Each pooled column -> its flipped column, one object each and
+        the column itself where the flip fixes it; None where the
+        variant has no flip. Between them, the keys and values are the
+        columns of every state of the stored orbits (see _orbit).
+        """
+        if self.flip is None:
+            return None
+        flips = {}
+        for col in self.pool:
+            other = _flipped(col, self.flip)
+            flips[col] = col if other == col else other
+        return flips
 
     def rows(self):
         """
@@ -323,8 +378,8 @@ def _interned(n: int, steps: int, mode: str, max_states: int | None) -> _Interne
     n_cap, steps_cap = DEFAULT_DISTRIBUTION_LIMITS[mode]
     if max_states is None and (n > n_cap or steps > steps_cap):
         raise BudgetExceeded(
-            f"exact {mode} distribution capped at n <= {n_cap}, N <= {steps_cap} "
-            "by default; pass max_states to raise the budget"
+            f"exact {mode} walk statistics (distribution, drift, entropy) capped at "
+            f"n <= {n_cap}, N <= {steps_cap} by default; pass max_states to raise the budget"
         )
     budget = BALL_STATE_BUDGET if max_states is None else max_states
     return _Interned(n, steps, mode, budget=budget)
@@ -359,6 +414,7 @@ def exact_distribution(
         raise BudgetExceeded(
             f"{mode} distribution support of {support} states exceeds {table.budget}"
         )
+    flips = table.flips()
     probs = {}
     shared: dict[int, Fraction] = {}  # one Fraction per distinct per-state count
     for rep, mass, size in zip(table.states, final, table.sizes):
@@ -367,7 +423,8 @@ def exact_distribution(
             p = shared.get(c)
             if p is None:
                 p = shared[c] = Fraction(c, denom)
-            probs.update(dict.fromkeys(_orbit(rep, table.flip), p))
+            for state in _orbit(rep, flips):
+                probs[state] = p
     return ExactDistribution(n, mode, N, probs)
 
 

@@ -294,6 +294,30 @@ def test_walk_csv_stdout(capsys):
     assert len(lines) == 2 + 2 * 2
 
 
+def test_walk_csv_group_without_reductions(capsys):
+    # the CSV prints no alpha, so a group window without reductions is
+    # no error there (the JSON report exits 2 on it)
+    code, out, err = run(
+        capsys, "walk", "--mode", "group", "--n", "2", "--steps", "5", "--snapshot-every", "5",
+    )
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[1] == "step,column,top_level,in_roof"
+    assert len(lines) == 2 + 2
+
+
+def test_walk_csv_runs_only_trial_zero(capsys, monkeypatch):
+    argv = ["walk", "--mode", "group", "--n", "3", "--steps", "300", "--snapshot-every", "100"]
+    _, one, _ = run(capsys, *argv)
+    trials = []
+    real = walk.run_trial
+    monkeypatch.setattr(walk, "run_trial", lambda params, t: trials.append(t) or real(params, t))
+    code, three, _ = run(capsys, *argv, "--trials", "3")
+    assert code == 0 and trials == [0]
+    # the rows are trial 0's; only the `# run:` line shows the trials
+    assert three.splitlines()[1:] == one.splitlines()[1:]
+
+
 # --- roof chain ------------------------------------------------------------------
 
 

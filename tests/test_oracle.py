@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -133,9 +134,10 @@ def test_ball_states_are_heap_columns(n, mode, signs):
     )
     heaps = {core.heap_from_word(w, n, mode).columns for w in words}
     table = oracle._Interned(n, 3, mode)
+    flips = table.flips()
     states = set()
     for rep, size in zip(table.states, table.sizes):
-        orbit = oracle._orbit(rep, table.flip)
+        orbit = set(oracle._orbit(rep, flips))
         assert len(orbit) == size and not orbit & states
         states |= orbit
     assert states == heaps
@@ -186,16 +188,19 @@ def _orbit(state, flip):
 def test_orbit_representatives_and_sizes(variant, r):
     # the representative is the smallest state of its orbit, the stored
     # size and oracle._orbit are the orbit's (a column of class r/2 cells
-    # at even r is its own flip), and the orbits tile the brute-force ball
+    # at even r is its own flip), oracle._orbit yields each state once,
+    # and the orbits tile the brute-force ball
     flip = oracle._letters(1, variant, r)[2]
     for n in (1, 2, 3):
         table = oracle._Interned(n, 4, variant, r)
+        flips = table.flips()
         full = _brute_census(n, 4, variant, r)
         covered = set()
         for rep, size in zip(table.states, table.sizes):
             orbit = _orbit(rep, flip)
             assert rep == min(orbit) and size == len(orbit), (n, rep)
-            assert oracle._orbit(rep, table.flip) == orbit
+            expanded = list(oracle._orbit(rep, flips))
+            assert len(expanded) == size and set(expanded) == orbit, (n, rep)
             covered |= orbit
         assert covered == set(full) and sum(table.sizes) == len(full)
 
@@ -224,6 +229,42 @@ def test_ids_are_breadth_first(n, steps, variant, r):
     assert len(table.succ) == len(table.states)
     assert all(not row for row, d in zip(table.succ, depth_of) if d == steps)
     assert all(len(row) == table.base for row, d in zip(table.succ, depth_of) if d < steps)
+
+
+def _one_object_per_column(states):
+    columns = [col for state in states for col in state]
+    return len({id(col) for col in columns}) == len(set(columns))
+
+
+@pytest.mark.parametrize("n,steps,variant,r", [
+    (4, 8, SEMIGROUP, None),
+    (3, 6, GROUP, None),
+    (3, 5, "restricted", 4),
+])
+def test_stored_states_share_their_columns(n, steps, variant, r):
+    # the pushed column of a new state, flipped or mirrored by
+    # _canonical or not, comes from the table's pool like the rest
+    table = oracle._Interned(n, steps, variant, r)
+    assert _one_object_per_column(table.states)
+    assert set(table.pool) == {col for state in table.states for col in state}
+
+
+def test_distribution_keys_share_their_columns():
+    # flipped columns come from one object per column too
+    dist = oracle.exact_distribution(3, 6, GROUP)
+    assert _one_object_per_column(dist.probabilities)
+
+
+def test_distribution_peak_memory():
+    # about 5.4 MB (CPython 3.11) with one object per distinct column,
+    # 7.6 MB when every state holds copies of its columns and cells
+    tracemalloc.start()
+    try:
+        oracle.exact_distribution(4, 9, SEMIGROUP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5e6, peak
 
 
 @pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
