@@ -118,10 +118,11 @@ def _cmd_walk(args):
         )
     if args.format == "json" and args.snapshot_every > 0 and args.out is None:
         raise ValueError("json walk output with snapshots needs --out")
+    # csv output is trial 0's snapshot table: describe and budget that trial alone
     params = walk.WalkParams(
         n=args.n,
         steps=args.steps,
-        trials=args.trials,
+        trials=min(args.trials, 1) if args.format == "csv" else args.trials,
         seed=args.seed,
         mode=args.mode,
         snapshot_every=args.snapshot_every,
@@ -135,7 +136,7 @@ def _cmd_walk(args):
             for col in range(params.n)
         ]
 
-    if args.format == "csv":  # only trial 0 records snapshots
+    if args.format == "csv":
         return snapshots(walk.run_trial(params, 0))
     report, runs = walk.run_walk(params)
     if args.snapshot_every > 0:

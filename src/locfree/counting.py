@@ -338,13 +338,15 @@ def spectrum_numeric(n: int) -> list[float]:
 def cosine_formula_spectrum(n: int, offset: int = 2) -> list[float]:
     """
     Closed-form eigenvalue candidates 4 cos^2(pi k/(n+offset)) - 1 for
-    k = 1..floor((n+1)/2), padded with -1 to length n, descending.
+    k = 1..floor((n+1)/2), padded with -1 to length n. The list is
+    descending as built: pi k/(n+offset) stays in (0, pi/2], where the
+    squared cosine falls, and every candidate is >= -1.
     offset=2 matches the characteristic polynomial's roots; offset=1 is
     a nearby wrong variant kept as a control so the comparison in the
     spectrum report demonstrably discriminates between the two.
     """
     top = [_cosine_root(n, k, offset) for k in range(1, (n + 1) // 2 + 1)]
-    return sorted(top + [-1.0] * (n - len(top)), reverse=True)
+    return top + [-1.0] * (n - len(top))
 
 
 # ---------------------------------------------------------------------------

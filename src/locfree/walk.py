@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 import warnings
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
@@ -93,7 +93,9 @@ class WalkParams:
 
     burn_in=None resolves to 10 * n at construction (clamped below
     steps for very short runs), so the stored record always shows the
-    value actually used.
+    value actually used. snapshot_every applies to trial 0 alone:
+    run_trial records no snapshots for any other trial, and the storage
+    budget counts trial 0's only.
     """
 
     n: int
@@ -123,8 +125,8 @@ class WalkParams:
             raise ValueError("need 0 <= burn_in < steps")
         snaps = self.steps // self.snapshot_every if self.snapshot_every else 0
         # each trial keeps n + 1 histogram bins and a record of about
-        # 400 B, counted as 64 integers; run_walk keeps trial 0's
-        # snapshots only, 2 n integers each
+        # 400 B, counted as 64 integers; run_trial records the snapshots
+        # of trial 0 only, 2 n integers each
         _check_budget(self.steps, self.trials * (self.n + 64) + 2 * self.n * snaps)
 
 
@@ -285,7 +287,8 @@ def run_trial(params: WalkParams, trial_index: int, engine: str = "auto") -> Wal
     the column's first push. The letters arrive in runs (see _runs):
     burn-in runs count their roof sizes into a throwaway histogram, and
     the window's reduction counts are the run totals less their values
-    at burn_in.
+    at burn_in. Only trial 0 records snapshots, every
+    params.snapshot_every steps; any other trial's snapshots are empty.
 
     engine: "auto" and "python" run the kernel, "numba" raises
     RuntimeError (no compiled engine exists; callers probe for one this
@@ -296,7 +299,8 @@ def run_trial(params: WalkParams, trial_index: int, engine: str = "auto") -> Wal
     if engine == "numba":
         raise RuntimeError("no numba engine: the kernel runs interpreted only")
 
-    n, burn_in, every = params.n, params.burn_in, params.snapshot_every
+    n, burn_in = params.n, params.burn_in
+    every = params.snapshot_every if trial_index == 0 else 0
     cols, tops, in_roof = [None] * (n + 2), [0] * (n + 2), [0] * (n + 2)
     hist, burn_hist = [0] * (n + 1), [0] * (n + 1)
     counts = [0] * 5  # height, roof size, reductions, plus, minus
@@ -341,6 +345,8 @@ def drift_estimate(runs: list[WalkStats]) -> tuple[float, float]:
 
 def roof_density_estimate(runs: list[WalkStats]) -> float:
     """Window average of #T_j / n, pooled over trials."""
+    if not runs:
+        raise ValueError("no trials")
     total = sum(t.roof_size_sum for t in runs)
     steps = sum(t.window_steps for t in runs)
     if steps == 0:
@@ -418,11 +424,10 @@ def run_walk(params: WalkParams) -> tuple[dict, list[WalkStats]]:
     n, steps, trials, seed, drift_mean, drift_se, roof_density,
     entropy_estimate, alpha_hat, alpha_se, height_coeff, heap_density.
     Inapplicable entries (alpha in semigroup mode, deposit geometry in
-    group mode) are None. Only trial 0 records snapshots; the other
-    trials' snapshots are empty.
+    group mode) are None. The trials are run_trial's, so only trial 0
+    carries snapshots.
     """
-    unsnapped = replace(params, snapshot_every=0)
-    runs = [run_trial(params if t == 0 else unsnapped, t) for t in range(params.trials)]
+    runs = [run_trial(params, t) for t in range(params.trials)]
     drift_mean, drift_se = drift_estimate(runs)
     report = {
         "mode": params.mode,

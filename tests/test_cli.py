@@ -318,6 +318,21 @@ def test_walk_csv_runs_only_trial_zero(capsys, monkeypatch):
     assert three.splitlines()[1:] == one.splitlines()[1:]
 
 
+def test_walk_csv_budgets_only_trial_zero(capsys):
+    # budgeted per trial, 10^6 trials would store 65 M integers; the one
+    # trial the table shows stores 69
+    argv = ["walk", "--mode", "group", "--n", "1", "--steps", "10", "--snapshot-every", "5"]
+    code, out, err = run(capsys, *argv, "--trials", "1000000")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[1] == "step,column,top_level,in_roof"
+    assert len(lines) == 2 + 2
+    for trials in ("0", "-1"):
+        code, out, err = run(capsys, *argv, "--trials", trials)
+        assert code == 2 and out == ""
+        assert err == "error: trials must be >= 1\n"
+
+
 # --- roof chain ------------------------------------------------------------------
 
 

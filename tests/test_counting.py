@@ -223,6 +223,15 @@ def test_spectrum_matches_cosine_form():
         assert max(abs(a - b) for a, b in zip(numeric, wrong)) > 1e-2
 
 
+@pytest.mark.parametrize("offset", [1, 2])
+def test_cosine_formula_spectrum_descends_as_built(offset):
+    # the candidates fall in k and stay >= -1, so the padded list needs no sort
+    for n in (*range(1, 401), 1000, 6000):
+        spec = counting.cosine_formula_spectrum(n, offset)
+        assert len(spec) == n
+        assert spec == sorted(spec, reverse=True), n
+
+
 def test_lambda_max_monotone_to_three():
     lams = [counting.lambda_max(n) for n in (2, 5, 10, 25, 60, 100)]
     assert all(a < b for a, b in zip(lams, lams[1:]))

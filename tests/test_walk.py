@@ -4,7 +4,6 @@ import math
 import random
 import tracemalloc
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -159,13 +158,15 @@ def _replay(p: WalkParams, trial: int) -> walk.WalkStats:
     """
     The trial's letters pushed one by one through core.push_letter, with
     every statistic read off core's heap and its roof marks: a reference
-    that shares no code with the step kernel.
+    that shares no code with the step kernel. Like run_trial it records
+    snapshots for trial 0 only.
     """
     heap = core.ColoredHeap(p.n, p.mode)
     height = reductions = red_window = plus = minus = 0
     hist = [0] * (p.n + 1)
     snapshots = []
     roof = 0
+    every = p.snapshot_every if trial == 0 else 0
     for step, code in enumerate(walk.letter_stream(p, trial).tolist()):
         if p.mode == GROUP:
             letter = core.Letter(code // 2 + 1, 1 if code % 2 == 0 else -1)
@@ -185,7 +186,7 @@ def _replay(p: WalkParams, trial: int) -> walk.WalkStats:
                 plus += marks.size > roof
                 minus += marks.size < roof
         roof = marks.size
-        if p.snapshot_every and (step + 1) % p.snapshot_every == 0:
+        if every and (step + 1) % every == 0:
             snapshots.append((step + 1, tops, tuple(int(m != 0) for m in marks.marks)))
     return walk.WalkStats(
         n=p.n, mode=p.mode, steps=p.steps, trial_index=trial, burn_in=p.burn_in,
@@ -408,7 +409,9 @@ def test_alpha_requires_reductions():
      "heap_profile_stats"],
 )
 def test_estimators_reject_no_trials(estimator):
-    with pytest.raises(ValueError):
+    # alpha_estimate says why it is undefined: it is conditioned on reductions
+    match = "reductions" if estimator == "alpha_estimate" else "^no trials$"
+    with pytest.raises(ValueError, match=match):
         getattr(walk, estimator)([])
 
 
@@ -464,13 +467,12 @@ def test_heap_profile_rejects_group():
 
 
 def test_run_walk_snapshots_trial_zero_only():
-    p = WalkParams(n=6, steps=900, trials=3, seed=2, mode=GROUP, snapshot_every=300)
-    _, runs = walk.run_walk(p)
-    assert runs[0] == walk.run_trial(p, 0)
-    unsnapped = replace(p, snapshot_every=0)
-    for t in (1, 2):
-        assert runs[t].snapshots == ()
-        assert runs[t] == walk.run_trial(unsnapped, t)
+    for mode in (GROUP, SEMIGROUP):
+        p = WalkParams(n=6, steps=900, trials=3, seed=2, mode=mode, snapshot_every=300)
+        _, runs = walk.run_walk(p)
+        assert runs == [walk.run_trial(p, t) for t in range(3)]
+        assert len(runs[0].snapshots) == 3
+        assert runs[1].snapshots == runs[2].snapshots == ()
 
 
 def test_snapshot_budget_counts_one_trial():
