@@ -39,10 +39,12 @@ stream; the walks read the same codes CHUNK at a time from one Philox
 generator, which is counter-based, so the chunks are the one-call codes
 bit for bit, and the tests hold the two equal at chunk edges. Identical
 (params, trial_index) give bit-identical WalkStats on every platform:
-the step kernel manipulates integers only, and every floating point
+the step kernels manipulate integers only, and every floating point
 statistic is derived afterwards from those integers in a fixed order.
-One step kernel serves both modes (a positive letter never cancels) and
-keeps the heap as one growable stack per column, so it cannot overflow.
+Each mode has its own integer loop. The group kernel keeps the heap as
+one growable stack per column, so it cannot overflow; the semigroup
+loop keeps only the tops and the roof marks, since a positive letter
+never cancels and no semigroup statistic reads a buried cell.
 """
 
 from __future__ import annotations
@@ -60,17 +62,20 @@ from locfree.core import GROUP, SEMIGROUP, _check_mode
 OPEN = "open"
 PERIODIC = "periodic"
 
-# Budgets per trial and per run, checked before any allocation. A trial
-# holds a 4-byte integer per heap cell, in its column's stack, and one
-# chunk of decoded letters; the roof chain only the chunk. A column's
-# stack costs about 96 B (sys.getsizeof) once it is first pushed, so few
-# steps per column cost more per step; a trial makes at most
-# min(n, steps) stacks, which the budgets do not count. Peak RSS growth
-# over 10^6 group steps, measured with Python 3.11 on x86-64 Linux:
-# 4.3 B per step at n = 100 and 13.5 B at n = 10^5 for a trial, none for
-# the chain; `walk --format csv` takes up to 118 B per stored integer.
-# At the bounds that is about 0.1 GB of cells, 0.6 GB of stacks (at the
-# largest admitted n, 10^7 - 64, and 10^7 steps a trial pushes about
+# Budgets per trial and per run, checked before any allocation. A group
+# trial holds a 4-byte integer per heap cell, in its column's stack, one
+# more list of n + 2 entries (the top colours) and one chunk of decoded
+# letters; a semigroup trial holds the tops, the roof marks and the
+# chunk; the roof chain only the chunk. Stacks are made in group mode
+# only: a column's stack costs about 96 B (sys.getsizeof) once it is
+# first pushed, so few steps per column cost more per step, and a group
+# trial makes at most min(n, steps) stacks, which the budgets do not
+# count. Peak RSS growth over 10^6 steps, measured with Python 3.11 on
+# x86-64 Linux: 4.6 B per step at n = 100 and 19.1 B at n = 10^5 for a
+# group trial, 0.1 and 4.3 B for a semigroup trial, none for the chain;
+# `walk --format csv` takes up to 118 B per stored integer. At the
+# bounds that is about 0.1 GB of cells, 0.6 GB of stacks (at the largest
+# admitted n, 10^7 - 64, and 10^7 steps a group trial pushes about
 # (1 - 1/e) n columns) and 1.2 GB of csv.
 MAX_STEPS = 10_000_000
 MAX_SLOTS = 10_000_000
@@ -218,76 +223,137 @@ def _runs(params: WalkParams, trial_index: int, every: int):
 
 
 # ---------------------------------------------------------------------------
-# The step kernel: integer state only. Do not add floating point:
+# The step kernels: integer state only. Do not add floating point:
 # the bit identity of WalkStats across platforms depends on it.
 #
-# It steps through one run of letters, pairs of a column i (1-based) and
-# a sign s. cols[i] is column i's stack, an array('i') of its cells'
-# levels signed by their colours, bottom first (levels are at most steps
-# <= MAX_STEPS, within 32 bits), or None until the column's first push.
-# tops[i] is column i's top level or 0; cols, tops and in_roof have
-# sentinels at columns 0 and n + 1, which stay None and 0. counts carries
-# the running height, roof size, reductions and the reductions that grew
-# and shrank the roof from one run to the next; every step adds one to
-# hist at its roof size, so the caller picks the histogram per run.
+# Each steps through one run of letters, pairs of a column i (1-based)
+# and a sign s. tops[i] is column i's top level or 0, in_roof[i] its
+# roof mark; both have sentinels at columns 0 and n + 1 that stay 0.
+# counts carries the running height, roof size, reductions and the
+# reductions that grew and shrank the roof from one run to the next;
+# every step adds one to hist at its roof size, so the caller picks the
+# histogram per run.
 #
-# Column i's top is removable iff i is in the roof, so a cancellation is
-# tested on in_roof[i] and the top's colour before any maximum is taken;
-# it pops column i's stack and recomputes the marks of i - 1, i, i + 1. A
-# push lands one above max(tops[i-1], tops[i], tops[i+1]), strictly above
-# both neighbours, and changes no other neighbourhood: i joins the roof
-# and i - 1, i + 1 leave it, so no mark is compared. A positive letter
-# never cancels, so the kernel serves both modes.
+# Adjacent cells never share a level: a push lands one above
+# max(tops[i-1], tops[i], tops[i+1]), strictly above both neighbours.
+# So a marked top is a strict maximum of its neighbourhood, and the
+# neighbours of a roof column are not in the roof. A push changes no
+# other neighbourhood: on a roof column it adds one to its top and moves
+# no mark; elsewhere it lands one above the higher neighbour, i joins
+# the roof and i - 1, i + 1 leave it. No push compares a mark.
+#
+# _deposit is the semigroup walk, ballistic deposition: every letter
+# pushes, nothing cancels, and no statistic reads a buried cell, so it
+# keeps no cells at all. Tops never fall, so the height is max(tops) at
+# the trial's end and the loop keeps only the roof size of counts.
+#
+# _steps is the group walk. cols[i] is column i's stack, an array('i')
+# of its cells' levels signed by their colours, bottom first (levels are
+# at most steps <= MAX_STEPS, within 32 bits), or None until the
+# column's first push; colour[i] is the sign of its top cell, 0 when the
+# column is empty. Column i's top is removable iff i is in the roof, so
+# a letter on a roof column whose top has the opposite colour cancels
+# it: the stack pops and the marks of i - 1, i, i + 1 are recomputed. A
+# pop that leaves i above both neighbours changes no mark; otherwise i
+# leaves, and each neighbour joins iff its top now exceeds both of its
+# own neighbours'. A sentinel's top is 0, so tops[i - 2] and tops[i + 2]
+# are read only behind a test that the neighbour's top exceeds i's, and
+# never from outside the list.
 
 
-def _steps(letters, cols, tops, in_roof, hist, counts):
+def _deposit(letters, tops, in_roof, hist, counts):
+    roof_size = counts[1]
+    for i, _ in letters:
+        if in_roof[i]:
+            tops[i] += 1
+        else:
+            left = i - 1
+            right = i + 1
+            a = tops[left]
+            c = tops[right]
+            tops[i] = (a if a > c else c) + 1
+            roof_size += 1 - in_roof[left] - in_roof[right]
+            in_roof[left] = 0
+            in_roof[i] = 1
+            in_roof[right] = 0
+        hist[roof_size] += 1
+    counts[1] = roof_size
+
+
+def _steps(letters, cols, tops, colour, in_roof, hist, counts):
     height, roof_size, reductions, plus, minus = counts
     for i, s in letters:
-        if in_roof[i] and cols[i][-1] == -s * tops[i]:  # opposite colour
-            col = cols[i]
-            col.pop()
-            tops[i] = abs(col[-1]) if col else 0
-            reductions += 1
-            old_roof = roof_size
-            for j in range(i - 1, i + 2):  # a sentinel fails tops[j] > 0 and keeps 0
-                m = 1 if tops[j] > 0 and tops[j] >= tops[j - 1] and tops[j] >= tops[j + 1] else 0
-                roof_size += m - in_roof[j]
-                in_roof[j] = m
-            if roof_size > old_roof:
-                plus += 1
-            elif roof_size < old_roof:
-                minus += 1
+        if in_roof[i]:
+            if colour[i] != s:  # cancel the top
+                col = cols[i]
+                col.pop()
+                if col:
+                    b = col[-1]
+                    if b > 0:
+                        colour[i] = 1
+                    else:
+                        b = -b
+                        colour[i] = -1
+                else:
+                    b = colour[i] = 0
+                tops[i] = b
+                reductions += 1
+                left = i - 1
+                right = i + 1
+                a = tops[left]
+                c = tops[right]
+                if b <= a or b <= c:
+                    # i leaves the roof; a neighbour joins if it now tops its own neighbourhood
+                    in_roof[i] = 0
+                    joined = 0
+                    if a > b and a > tops[i - 2]:
+                        in_roof[left] = 1
+                        joined = 1
+                    if c > b and c > tops[i + 2]:
+                        in_roof[right] = 1
+                        joined += 1
+                    roof_size += joined - 1
+                    if joined == 2:
+                        plus += 1
+                    elif joined == 0:
+                        minus += 1
+            else:
+                t = tops[i] + 1
+                cols[i].append(s * t)
+                tops[i] = t
+                if t > height:
+                    height = t
         else:
-            a = tops[i - 1]
-            b = tops[i]
-            c = tops[i + 1]
-            t = a if a > b else b
-            if c > t:
-                t = c
-            t += 1
+            left = i - 1
+            right = i + 1
+            a = tops[left]
+            c = tops[right]
+            t = (a if a > c else c) + 1
             col = cols[i]
             if col is None:
                 col = cols[i] = array("i")
             col.append(s * t)
             tops[i] = t
+            colour[i] = s
             if t > height:
                 height = t
-            roof_size += 1 - in_roof[i - 1] - in_roof[i] - in_roof[i + 1]
-            in_roof[i - 1] = 0
+            roof_size += 1 - in_roof[left] - in_roof[right]
+            in_roof[left] = 0
             in_roof[i] = 1
-            in_roof[i + 1] = 0
+            in_roof[right] = 0
         hist[roof_size] += 1
     counts[:] = height, roof_size, reductions, plus, minus
 
 
 def run_trial(params: WalkParams, trial_index: int, engine: str = "auto") -> WalkStats:
     """
-    Execute one trial deterministically, through the step kernel shared
-    by both modes, which keeps the heap as one stack per column, made at
-    the column's first push. The letters arrive in runs (see _runs):
-    burn-in runs count their roof sizes into a throwaway histogram, and
-    the window's reduction counts are the run totals less their values
-    at burn_in. Only trial 0 records snapshots, every
+    Execute one trial deterministically, through its mode's kernel:
+    _steps for the group, which keeps the heap as one stack per column,
+    made at the column's first push, and _deposit for the semigroup,
+    which keeps tops and roof marks only. The letters arrive in runs
+    (see _runs): burn-in runs count their roof sizes into a throwaway
+    histogram, and the window's reduction counts are the run totals less
+    their values at burn_in. Only trial 0 records snapshots, every
     params.snapshot_every steps; any other trial's snapshots are empty.
 
     engine: "auto" and "python" run the kernel, "numba" raises
@@ -301,17 +367,26 @@ def run_trial(params: WalkParams, trial_index: int, engine: str = "auto") -> Wal
 
     n, burn_in = params.n, params.burn_in
     every = params.snapshot_every if trial_index == 0 else 0
-    cols, tops, in_roof = [None] * (n + 2), [0] * (n + 2), [0] * (n + 2)
+    group = params.mode == GROUP
+    if group:
+        cols, colour = [None] * (n + 2), [0] * (n + 2)
+    tops, in_roof = [0] * (n + 2), [0] * (n + 2)
     hist, burn_hist = [0] * (n + 1), [0] * (n + 1)
     counts = [0] * 5  # height, roof size, reductions, plus, minus
     at_burn_in = counts[:]
     snapshots = []
     for end, letters in _runs(params, trial_index, every):
-        _steps(letters, cols, tops, in_roof, hist if end > burn_in else burn_hist, counts)
+        run_hist = hist if end > burn_in else burn_hist
+        if group:
+            _steps(letters, cols, tops, colour, in_roof, run_hist, counts)
+        else:
+            _deposit(letters, tops, in_roof, run_hist, counts)
         if end == burn_in:
             at_burn_in = counts[:]
         if every and end % every == 0:
             snapshots.append((end, tuple(tops[1:-1]), tuple(in_roof[1:-1])))
+    if not group:
+        counts[0] = max(tops)  # semigroup tops never fall
     height, _, reductions, plus, minus = counts
     return WalkStats(
         n=n,

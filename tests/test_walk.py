@@ -158,7 +158,7 @@ def _replay(p: WalkParams, trial: int) -> walk.WalkStats:
     """
     The trial's letters pushed one by one through core.push_letter, with
     every statistic read off core's heap and its roof marks: a reference
-    that shares no code with the step kernel. Like run_trial it records
+    that shares no code with the step kernels. Like run_trial it records
     snapshots for trial 0 only.
     """
     heap = core.ColoredHeap(p.n, p.mode)
@@ -240,11 +240,13 @@ def test_pinned_long_run(mode, seed, digest):
 
 @pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
 def test_walk_memory_is_bounded_by_a_chunk(mode):
-    # a trial holds one 4-byte integer per heap cell, in its column's
-    # stack, and one chunk of letters: about 3.8 B per step in group mode
-    # and 5.1 in semigroup mode, against 9 B when every push took two
-    # 4-byte slots; the chain holds only the chunk. Both held all 2 * 10^5
-    # codes as a list, 16 B per step, before the letters were chunked
+    # a group trial holds one 4-byte integer per heap cell, in its
+    # column's stack, and one chunk of letters: about 4.0 B per step,
+    # against 9 B when every push took two 4-byte slots. A semigroup
+    # trial and the chain hold only the chunk besides O(n) lists: about
+    # 1.4 B per step, against 5.3 when the semigroup kept stacks too.
+    # Both held all 2 * 10^5 codes as a list, 16 B per step, before the
+    # letters were chunked
     steps = 200_000
     walk.run_trial(WalkParams(100, 1000, 1, 0, mode), 0)
     walk.roof_chain_run(100, 1000, 0, mode)
@@ -257,16 +259,31 @@ def test_walk_memory_is_bounded_by_a_chunk(mode):
         chain_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert trial_peak / steps < 7
+    assert trial_peak / steps < (7 if mode == GROUP else 2)
     assert chain_peak / steps < 2
+
+
+def test_deposit_memory_is_linear_in_the_columns():
+    # n = steps: the semigroup trial's five lists of n + O(1) 8-byte
+    # entries (tops, marks, two histograms and the stored histogram),
+    # 40 B per column; a stack per pushed column took 108.6 B
+    n = 10**5
+    tracemalloc.start()
+    try:
+        walk.run_trial(WalkParams(n, n, 1, 0, SEMIGROUP), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 64
 
 
 @pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
 def test_walk_memory_at_large_n_is_linear_in_the_columns(mode):
-    # a short trial on 10^6 columns holds six sequences of n + O(1)
-    # 8-byte entries (stacks, tops, marks, two histograms and the stored
-    # histogram), 48 B per column, and a stack only for each column it
-    # pushes on; an empty array('i') per column up front adds 80 B more
+    # a short trial on 10^6 columns holds lists of n + O(1) 8-byte
+    # entries: tops, marks, two histograms and the stored histogram, and
+    # in group mode stacks and top colours, 56 B per column (40 in
+    # semigroup mode). A group trial makes a stack only for each column
+    # it pushes on; an empty array('i') per column up front adds 80 B more
     n = 10**6
     tracemalloc.start()
     try:
@@ -277,26 +294,50 @@ def test_walk_memory_at_large_n_is_linear_in_the_columns(mode):
     assert peak / n < 64
 
 
-@pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
-def test_kernel_stacks_are_core_heap(mode):
-    # every cell, buried ones included, against core's heap, with each
-    # word fed to the kernel in two runs as _runs would
+def _random_words(mode):
+    # 300 words on n = 1..6 columns, each with the cut that splits it in
+    # two runs as _runs would
     rng = random.Random(17)
     signs = (1, -1) if mode == GROUP else (1,)
     for _ in range(300):
         n = rng.randint(1, 6)
         word = [(rng.randint(1, n), rng.choice(signs)) for _ in range(rng.randint(0, 40))]
-        cols, tops, in_roof = [None] * (n + 2), [0] * (n + 2), [0] * (n + 2)
+        yield n, word, rng.randint(0, len(word))
+
+
+def test_kernel_stacks_are_core_heap():
+    # every cell, buried ones included, and every top's colour against
+    # core's heap
+    for n, word, cut in _random_words(GROUP):
+        cols, tops, colour, in_roof = [None] * (n + 2), [0] * (n + 2), [0] * (n + 2), [0] * (n + 2)
         hist, counts = [0] * (n + 1), [0] * 5
-        cut = rng.randint(0, len(word))
-        walk._steps(iter(word[:cut]), cols, tops, in_roof, hist, counts)
-        walk._steps(iter(word[cut:]), cols, tops, in_roof, hist, counts)
-        heap = core.heap_from_word(word, n, mode)
+        walk._steps(iter(word[:cut]), cols, tops, colour, in_roof, hist, counts)
+        walk._steps(iter(word[cut:]), cols, tops, colour, in_roof, hist, counts)
+        heap = core.heap_from_word(word, n, GROUP)
         stacks = tuple(tuple((abs(v), 1 if v > 0 else -1) for v in col or ()) for col in cols[1:-1])
         assert stacks == heap.columns, word
         assert (cols[0], cols[-1]) == (None, None)
         assert tuple(in_roof[1:-1]) == tuple(abs(m) for m in core._roof_marks(heap.columns)), word
         assert tops[1:-1] == [col[-1][0] if col else 0 for col in heap.columns]
+        assert colour[1:-1] == [col[-1][1] if col else 0 for col in heap.columns]
+        assert sum(hist) == len(word)
+
+
+def test_deposit_is_core_heap():
+    # the semigroup loop keeps no cells: its tops, roof marks, roof size
+    # and height (the highest cell, which run_trial reads as max(tops))
+    # against core's heap
+    for n, word, cut in _random_words(SEMIGROUP):
+        tops, in_roof = [0] * (n + 2), [0] * (n + 2)
+        hist, counts = [0] * (n + 1), [0] * 5
+        walk._deposit(iter(word[:cut]), tops, in_roof, hist, counts)
+        walk._deposit(iter(word[cut:]), tops, in_roof, hist, counts)
+        heap = core.heap_from_word(word, n, SEMIGROUP)
+        assert tops[1:-1] == [col[-1][0] if col else 0 for col in heap.columns], word
+        assert (tops[0], tops[-1]) == (0, 0)
+        assert tuple(in_roof[1:-1]) == tuple(abs(m) for m in core._roof_marks(heap.columns)), word
+        assert max(tops) == max((level for col in heap.columns for level, _ in col), default=0)
+        assert counts[1] == sum(in_roof)
         assert sum(hist) == len(word)
 
 
