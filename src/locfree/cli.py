@@ -42,7 +42,7 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", newline="\n") as fh:
+        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
 
 

@@ -22,7 +22,7 @@ variants) permute the letters of the uniform walk, so lengths and path
 counts are constant on their orbits. The representative is the smallest
 state of its orbit (_canonical), and _orbit_size gives the orbit's size.
 
-Cayley-ball counts (ball_counts) sum orbit sizes by depth. The exact
+Cayley-ball counts (ball_counts) sum orbit sizes by layer. The exact
 walk statistics come from dynamic programming with integer path counts
 over the same table and its transition rows: exact_drift_series reads
 the orbit masses, exact_entropy and exact_entropy_series the per-state
@@ -31,8 +31,9 @@ to every state of the orbit, expanded by _orbit. Agreement between these
 enumerations and the transfer-matrix counts is the central correctness
 gate of the package.
 
-Step t of the path counts reads only the orbits of depth <= t, a prefix
-of the breadth-first ids: an orbit of depth d carries no mass before
+The table keeps the breadth-first layers as one list of id bounds
+(_Interned.starts), and step t of the path counts reads only the layers
+up to t, a prefix of the ids: an orbit of layer d carries no mass before
 step d. The steps' counts come one row at a time (_Interned.rows), and
 every caller folds each row as it comes, holding two at most.
 exact_distribution reads only the last row; in semigroup mode its roof
@@ -57,8 +58,8 @@ the n=2 group at N=12, whose ball holds about 1.06 million states in
 132,867 orbits), but exceeding a budget is an error, never a silent
 truncation: BudgetExceeded, a ValueError like every budget error of the
 walk and counting modules. As memory: exact_drift_series(2, 12, GROUP)
-peaks at 49 MB RSS, and at N = 13 (398,588 orbits) at 115 MB, about
-260 B per orbit over the 16 MB of the interpreter with the package
+peaks at 47 MB RSS, and at N = 13 (398,588 orbits) at 111 MB, about
+250 B per orbit over the 16 MB of the interpreter with the package
 loaded (CPython 3.11, x86-64), so BALL_STATE_BUDGET orbits take roughly
 0.5 GB.
 """
@@ -67,7 +68,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -194,14 +194,16 @@ class _Interned:
     Every orbit within `steps` pushes of the identity, breadth first,
     one representative each.
 
-    states[sid] is the representative's columns tuple, sizes[sid] the
-    orbit's size, and depth_of[sid] the push count that first reached
-    it, which is the reduced length of every state of the orbit: every
-    push changes the length by at most one. ids maps each
-    representative back to its id, and flip is the variant's label flip
-    (see _letters). succ[sid] lists the representative's successors as
-    representative ids, in letter order and repeats included (orbits
-    first reached at full depth are not stepped from). Path counts are
+    states[sid] is the representative's columns tuple and sizes[sid]
+    the orbit's size. ids maps each representative back to its id, and
+    flip is the variant's label flip (see _letters). Ids are breadth
+    first: layer d, the orbits that d pushes first reached, is the id
+    range starts[d] <= sid < starts[d + 1] (d = 0, ..., steps; the last
+    bound is len(states)), and d is the reduced length of every state
+    of the orbit, as every push changes the length by at most one.
+    succ[sid] lists the representative's successors as representative
+    ids, in letter order and repeats included; the last layer is not
+    stepped from, so succ ends at starts[steps]. Path counts are
     constant on orbits, so rows yields the orbit masses: the sums of the
     path counts over each orbit. budget bounds the orbits stored.
 
@@ -225,12 +227,10 @@ class _Interned:
         pool = {(): ()}
         states = [start]
         ids = {start: 0}
-        depth_of = [0]
+        starts = [0, 1]
         succ: list[tuple[int, ...]] = []
-        lo = 0  # ids are breadth first: each depth's orbits are one id range
-        for depth in range(1, steps + 1):
-            hi = len(states)
-            for sid in range(lo, hi):
+        for _ in range(steps):
+            for sid in range(starts[-2], starts[-1]):
                 state = states[sid]
                 row = []
                 for i, label in letters:
@@ -253,17 +253,15 @@ class _Interned:
                             t = tuple(t)
                         tid = ids[t] = len(states)
                         states.append(t)
-                        depth_of.append(depth)
                     row.append(tid)
                 succ.append(tuple(row))
-            lo = hi
-        succ.extend(() for _ in range(lo, len(states)))
+            starts.append(len(states))
         self.steps = steps
         self.base = len(letters)
         self.flip = flip
         self.states = states
         self.ids = ids
-        self.depth_of = depth_of
+        self.starts = starts
         self.succ = succ
         self.pool = pool
         self.sizes = [_orbit_size(s, flip) for s in states]
@@ -289,17 +287,16 @@ class _Interned:
         counts[t][sid] = number of length-t letter paths ending in orbit
         sid. Only the row being built and the one before it are held.
 
-        An orbit of depth d carries no mass before step d, so step t
-        reads only the orbits of depth <= t: a prefix of the ids, which
-        follow BFS order.
+        An orbit of layer d carries no mass before step d, so step t
+        reads only the layers up to t: the ids below starts[t + 1].
         """
         cur = [0] * len(self.states)
         cur[0] = 1
         yield cur
-        depth_of, succ = self.depth_of, self.succ
+        starts, succ = self.starts, self.succ
         for t in range(self.steps):
             nxt = [0] * len(self.states)
-            for c, row in zip(cur[: bisect_right(depth_of, t)], succ):
+            for c, row in zip(cur[: starts[t + 1]], succ):
                 if c:
                     for tid in row:
                         nxt[tid] += c
@@ -326,21 +323,22 @@ class _Interned:
         only its depth-t per-state counts are kept, in one list indexed
         by id; the last row is returned.
         """
-        depth_of = self.depth_of  # nondecreasing: ids follow BFS order
+        starts, states, ids, flip = self.starts, self.states, self.ids, self.flip
         counts: list[int] = []  # counts[sid]: per-state count at sid's own depth
         for t, row in enumerate(rows):
-            lo, hi = bisect_left(depth_of, t), bisect_right(depth_of, t)
+            lo, hi = starts[t], starts[t + 1]
             if any(row[:lo]) or any(row[hi:]):
                 raise AssertionError(f"path counts at step {t} off states of length {t}")
             counts.extend(map(_per_state, row[lo:hi], self.sizes[lo:hi]))
-        ids, flip = self.ids, self.flip
-        for sid, cols in enumerate(self.states[1:], 1):
-            expected = sum(
-                counts[ids[_canonical(cols[:i] + (cols[i][:-1],) + cols[i + 1:], i + 1, flip)]]
-                for i, mark in enumerate(core._roof_marks(cols)) if mark
-            )
-            if counts[sid] != expected:
-                raise AssertionError(f"roof recursion fails at state {sid}, step {depth_of[sid]}")
+        for t in range(1, self.steps + 1):
+            for sid in range(starts[t], starts[t + 1]):
+                cols = states[sid]
+                expected = sum(
+                    counts[ids[_canonical(cols[:i] + (cols[i][:-1],) + cols[i + 1:], i + 1, flip)]]
+                    for i, mark in enumerate(core._roof_marks(cols)) if mark
+                )
+                if counts[sid] != expected:
+                    raise AssertionError(f"roof recursion fails at state {sid}, step {t}")
         return row
 
 
@@ -353,18 +351,16 @@ def ball_counts(
 ) -> dict[int, int]:
     """
     length -> number of elements of that reduced length, for every
-    length up to `radius`: the orbit sizes summed by depth (= reduced
-    length, since every push changes the minimal spelling by at most
-    one letter). max_states bounds the orbits stored.
+    length up to `radius`: the orbit sizes summed over each layer (its
+    depth is the reduced length, since every push changes the minimal
+    spelling by at most one letter). max_states bounds the orbits stored.
     """
     core._check_variant(variant, r)
     if radius < 0:
         raise ValueError("radius must be >= 0")
     table = _Interned(n, radius, variant, r, max_states)
-    counts: dict[int, int] = {}
-    for depth, size in zip(table.depth_of, table.sizes):
-        counts[depth] = counts.get(depth, 0) + size
-    return counts
+    layers = enumerate(itertools.pairwise(table.starts))
+    return {d: sum(table.sizes[lo:hi]) for d, (lo, hi) in layers if lo < hi}
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +430,15 @@ def exact_drift_series(
     """
     [E[K(w_1)]/1, ..., E[K(w_N)]/N] from a single dynamic program; the
     group sequence starts at 1 and decreases toward the limit drift.
-    The program runs over orbits: every state of an orbit has the same
-    length, so E[K(w_t)] is the sum of orbit mass times length.
+    The program runs over orbits: every state of layer d has length d,
+    so E[K(w_t)] is the sum over layers of the layer's mass times d.
     """
     table = _interned(n, N, mode, max_states)
+    layers = list(enumerate(itertools.pairwise(table.starts)))
     rows = table.rows()
     next(rows)  # step 0
     return [
-        Fraction(sum(c * k for c, k in zip(masses, table.depth_of)), table.base**t * t)
+        Fraction(sum(d * sum(masses[lo:hi]) for d, (lo, hi) in layers), table.base**t * t)
         for t, masses in enumerate(rows, 1)
     ]
 

@@ -106,6 +106,22 @@ def test_unwritable_out_exits_two(capsys, tmp_path, target):
     assert out == ""
 
 
+def test_out_file_does_not_depend_on_the_locale(tmp_path):
+    # --out names its encoding: with EncodingWarning an error, the file
+    # still gets the bytes the same command prints
+    argv = [sys.executable, "-m", "locfree.cli", "count", "--variant", "group", "--n", "3",
+            "--k-max", "2"]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNDEFAULTENCODING": "1",
+           "PYTHONWARNINGS": "error::EncodingWarning"}
+    out_path = tmp_path / "out.csv"
+    to_file = subprocess.run(argv + ["--out", str(out_path)], env=env, timeout=120)
+    assert to_file.returncode == 0
+    to_stdout = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+    assert to_stdout.returncode == 0
+    assert out_path.read_bytes() == to_stdout.stdout
+
+
 def test_count_restricted_with_r(capsys):
     code, out, _ = run(
         capsys, "count", "--format", "json",

@@ -214,21 +214,30 @@ def test_orbit_representatives_and_sizes(variant, r):
     (3, 0, GROUP, None),
 ])
 def test_ids_are_breadth_first(n, steps, variant, r):
-    # rows() and check_roof_recursion bisect depth_of, and the explorer
-    # steps from each depth's id range: the orbits of one depth must be
-    # one contiguous run of ids, in depth order
+    # rows(), check_roof_recursion, ball_counts and the drift series read
+    # layer d as the id range starts[d] <= sid < starts[d + 1]
     table = oracle._Interned(n, steps, variant, r)
-    depth_of = table.depth_of
-    assert depth_of == sorted(depth_of)
-    for d in set(depth_of):
-        lo = depth_of.index(d)
-        assert [sid for sid, e in enumerate(depth_of) if e == d] == list(
-            range(lo, lo + depth_of.count(d))
-        )
-    # full-depth orbits are not stepped from: one empty row each
-    assert len(table.succ) == len(table.states)
-    assert all(not row for row, d in zip(table.succ, depth_of) if d == steps)
-    assert all(len(row) == table.base for row, d in zip(table.succ, depth_of) if d < steps)
+    starts = table.starts
+    assert starts[:2] == [0, 1] and len(starts) == steps + 2
+    assert starts == sorted(starts) and starts[-1] == len(table.states)
+    # the last layer is not stepped from: succ has no row for it
+    assert len(table.succ) == starts[steps]
+    assert all(len(row) == table.base for row in table.succ)
+    # and layer d is the orbits of reduced length d, read off the cells
+    for d in range(steps + 1):
+        for cols in table.states[starts[d]:starts[d + 1]]:
+            assert _reduced_length(cols, variant, r) == d, (d, cols)
+
+
+def _reduced_length(cols, variant, r):
+    """
+    A heap state's reduced length: one letter per cell, except that a
+    restricted cell of class e spells f^e or f^(e - r), min(e, r - e)
+    letters.
+    """
+    if variant == "restricted":
+        return sum(min(e, r - e) for col in cols for _, e in col)
+    return sum(map(len, cols))
 
 
 def _one_object_per_column(states):
@@ -277,9 +286,9 @@ def test_orbit_mass_is_a_multiple_of_orbit_size(mode):
 
 @pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
 def test_path_counts_sweep_only_live_orbits(mode):
-    # the reference sweep steps from every orbit at every step; no orbit
-    # deeper than t may carry mass at step t, so the prefix sweep of
-    # rows() must give the same rows
+    # the reference sweep steps from every row of succ at every step; no
+    # orbit of a layer deeper than t may carry mass at step t, so the
+    # prefix sweep of rows() must give the same rows
     for n in (1, 2, 3, 4):
         table = oracle._Interned(n, 5, mode)
         full = [[0] * len(table.states) for _ in range(6)]
@@ -289,7 +298,7 @@ def test_path_counts_sweep_only_live_orbits(mode):
                 for tid in row:
                     full[t + 1][tid] += full[t][sid]
         for t, masses in enumerate(full):
-            assert not any(c for c, d in zip(masses, table.depth_of) if d > t), (n, t)
+            assert not any(masses[table.starts[t + 1]:]), (n, t)
         assert list(table.rows()) == full, n
 
 
@@ -386,7 +395,7 @@ def test_roof_recursion_check_catches_corruption():
     good = list(table.rows())
     assert table.check_roof_recursion(iter(good)) == good[-1]
     depth = 2
-    sid = table.depth_of.index(depth)
+    sid = table.starts[depth]  # the first orbit of that layer
     for t in (depth, depth + 1):  # a count on its own length, and off it
         bad = [row[:] for row in good]
         bad[t][sid] += 1
@@ -514,6 +523,25 @@ def test_entropy_series_free_group():
     series = oracle.exact_entropy_series(2, 8, GROUP)
     for t, h in enumerate(series, start=1):
         assert h == pytest.approx(freechain.entropy_rate(t), abs=1e-12), t
+
+
+@pytest.mark.parametrize("n, N, mode, max_states", [
+    (2, 9, GROUP, 200_000),
+    (3, 8, GROUP, None),
+    (3, 10, SEMIGROUP, None),
+    (4, 9, SEMIGROUP, None),
+])
+def test_entropy_increments_do_not_increase(n, N, mode, max_states):
+    # H(mu_t) - H(mu_{t-1}) does not increase in t and tends to the
+    # entropy h (Kaimanovich & Vershik 1983); left cancellation is all
+    # that needs, so the semigroup obeys it too. The smallest gap in
+    # these cases is about 1.1e-4, far above rounding.
+    series = oracle.exact_entropy_series(n, N, mode, max_states)
+    totals = [0.0] + [t * h for t, h in enumerate(series, start=1)]
+    increments = [b - a for a, b in itertools.pairwise(totals)]
+    assert all(b <= a for a, b in itertools.pairwise(increments)), increments
+    if n == 2:  # F_2, whose entropy is (1/2) log 3
+        assert min(increments) >= 0.5 * math.log(3), increments
 
 
 def test_entropy_free_group_value():
