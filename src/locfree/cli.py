@@ -156,7 +156,7 @@ def _cmd_roof_chain(args):
         mode=args.mode,
         boundary=args.boundary,
         burn_in=args.burn_in,
-        sample_every=args.snapshot_every,
+        sample_every=args.snapshot_every if args.format == "csv" else 0,
     )
     if args.format == "csv":
         return "step,ones", result.series

@@ -389,6 +389,20 @@ def test_roof_chain_csv_series(capsys):
         assert 0 <= int(line.split(",")[1]) <= 3
 
 
+def test_roof_chain_json_ignores_snapshot_every(capsys, monkeypatch):
+    # the series is csv output: a json run neither stores nor budgets it
+    monkeypatch.setattr(walk, "MAX_SLOTS", 1000)
+    argv = ["roof-chain", "--n", "3", "--steps", "2000"]
+    code, plain, err = run(capsys, *argv, "--format", "json")
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, *argv, "--snapshot-every", "1", "--format", "json")
+    assert code == 0 and err == ""
+    assert out == plain
+    code, out, err = run(capsys, *argv, "--snapshot-every", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "budgeted at <= 1000" in err
+
+
 # --- oracle-verify ----------------------------------------------------------------
 
 
