@@ -218,13 +218,16 @@ def _cmd_braid_bounds(args):
 def _cmd_inequality(args):
     explicit = [args.v, args.l, args.entropy]
     if any(x is not None for x in explicit):
+        if args.alpha is not None:
+            raise ValueError("give either --alpha A or --v V --l L --h H, not both")
         if not all(x is not None for x in explicit):
             raise ValueError("provide all of --v, --l, --h (or none and use --alpha)")
         v, l, h = explicit
     else:
+        alpha = 0.0 if args.alpha is None else args.alpha
         v = braid.LOG7
-        l = braid.drift_bounds(args.alpha)[1]
-        h = math.log(3.0 - args.alpha)
+        l = braid.drift_bounds(alpha)[1]
+        h = math.log(3.0 - alpha)
     return dataclasses.asdict(braid.inequality_report(v, l, h))
 
 
@@ -291,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_output(p, _cmd_braid_bounds, formats=("json",))
 
     p = sub.add_parser("inequality", help="l*v >= h discrepancy report")
-    p.add_argument("--alpha", type=float, default=0.0)
+    p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--v", type=float, default=None)
     p.add_argument("--l", type=float, default=None)
     p.add_argument("--h", dest="entropy", type=float, default=None)

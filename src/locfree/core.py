@@ -213,12 +213,19 @@ def _push_all(heap: ColoredHeap, letters) -> ColoredHeap:
     """
     Left fold of _drop_push over raw columns, checking each letter, with
     one ColoredHeap built at the end. Each letter is an (index, sign)
-    pair, a Letter or a bare tuple; anything else raises ValueError.
+    pair of ints, a Letter or a bare tuple; anything else, a bare int, a
+    float or a bool among them, raises ValueError.
     """
     n, mode = heap.n, heap.mode
     merge = _cancel if mode == GROUP else None
     columns = heap.columns
-    for i, s in letters:
+    for letter in letters:
+        try:
+            i, s = letter
+        except (TypeError, ValueError):
+            raise ValueError(f"a letter is an (index, sign) pair, got {letter!r}") from None
+        if type(i) is not int or type(s) is not int:  # bool is an int subclass
+            raise ValueError(f"letter index and sign must be ints, got {letter!r}")
         if not 1 <= i <= n:
             raise ValueError(f"letter index {i} out of range 1..{n}")
         if s not in (1, -1):

@@ -71,8 +71,8 @@ PERIODIC = "periodic"
 # first pushed, so few steps per column cost more per step, and a group
 # trial makes at most min(n, steps) stacks, which the budgets do not
 # count. Peak RSS growth over 10^6 steps, measured with Python 3.11 on
-# x86-64 Linux: 4.6 B per step at n = 100 and 19.1 B at n = 10^5 for a
-# group trial, 0.1 and 4.3 B for a semigroup trial, none for the chain;
+# x86-64 Linux: 4.6 B per step at n = 100 and 18.4 B at n = 10^5 for a
+# group trial, 0.1 and 3.5 B for a semigroup trial, none for the chain;
 # `walk --format csv` takes up to 118 B per stored integer. At the
 # bounds that is about 0.1 GB of cells, 0.6 GB of stacks (at the largest
 # admitted n, 10^7 - 64, and 10^7 steps a group trial pushes about
@@ -231,8 +231,8 @@ def _runs(params: WalkParams, trial_index: int, every: int):
 # roof mark; both have sentinels at columns 0 and n + 1 that stay 0.
 # counts carries the running height, roof size, reductions and the
 # reductions that grew and shrank the roof from one run to the next;
-# every step adds one to hist at its roof size, so the caller picks the
-# histogram per run.
+# every step adds one to hist at its roof size, so the caller can swap
+# in a fresh histogram between runs.
 #
 # Adjacent cells never share a level: a push lands one above
 # max(tops[i-1], tops[i], tops[i+1]), strictly above both neighbours.
@@ -351,9 +351,9 @@ def run_trial(params: WalkParams, trial_index: int, engine: str = "auto") -> Wal
     _steps for the group, which keeps the heap as one stack per column,
     made at the column's first push, and _deposit for the semigroup,
     which keeps tops and roof marks only. The letters arrive in runs
-    (see _runs): burn-in runs count their roof sizes into a throwaway
-    histogram, and the window's reduction counts are the run totals less
-    their values at burn_in. Only trial 0 records snapshots, every
+    (see _runs), one ending at burn_in if burn_in > 0: there the roof
+    histogram restarts, and the window's reductions are the totals less
+    the counts there. Only trial 0 records snapshots, every
     params.snapshot_every steps; any other trial's snapshots are empty.
 
     engine: "auto" and "python" run the kernel, "numba" raises
@@ -371,18 +371,18 @@ def run_trial(params: WalkParams, trial_index: int, engine: str = "auto") -> Wal
     if group:
         cols, colour = [None] * (n + 2), [0] * (n + 2)
     tops, in_roof = [0] * (n + 2), [0] * (n + 2)
-    hist, burn_hist = [0] * (n + 1), [0] * (n + 1)
+    hist = [0] * (n + 1)
     counts = [0] * 5  # height, roof size, reductions, plus, minus
     at_burn_in = counts[:]
     snapshots = []
     for end, letters in _runs(params, trial_index, every):
-        run_hist = hist if end > burn_in else burn_hist
         if group:
-            _steps(letters, cols, tops, colour, in_roof, run_hist, counts)
+            _steps(letters, cols, tops, colour, in_roof, hist, counts)
         else:
-            _deposit(letters, tops, in_roof, run_hist, counts)
-        if end == burn_in:
+            _deposit(letters, tops, in_roof, hist, counts)
+        if end == burn_in:  # the window starts
             at_burn_in = counts[:]
+            hist = [0] * (n + 1)
         if every and end % every == 0:
             snapshots.append((end, tuple(tops[1:-1]), tuple(in_roof[1:-1])))
     if not group:
@@ -592,7 +592,7 @@ def roof_chain_run(
         left, right = [0, n, *range(1, n)], [0, *range(2, n + 1), 1]
     else:
         left, right = list(range(-1, n)), list(range(1, n + 2))
-    ones = acc = acc_at_burn_in = 0
+    ones = acc = 0
     series = []
     for end, letters in _runs(params, 0, sample_every):
         for j, s in letters:
@@ -609,11 +609,10 @@ def roof_chain_run(
                 eps[j] = 0
                 ones -= 1
             acc += ones
-        if end == burn_in:
-            acc_at_burn_in = acc
+        if end == burn_in:  # the window starts
+            acc = 0
         if sample_every and end % sample_every == 0:
             series.append((end, ones))
-    acc -= acc_at_burn_in
     density = acc / ((steps - burn_in) * n)
     return RoofChainResult(
         n=n,

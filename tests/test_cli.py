@@ -492,6 +492,15 @@ def test_inequality_partial_triple_rejected(capsys):
     assert "all of" in err
 
 
+def test_inequality_alpha_and_triple_exclude_each_other(capsys):
+    # the README's conflict example: --alpha is not ignored beside the triple
+    code, out, err = run(capsys, "inequality", "--alpha", "0.9", "--v", "1", "--l", "0.5", "--h", "0.2")
+    assert (code, out) == (2, "")
+    assert err == "error: give either --alpha A or --v V --l L --h H, not both\n"
+    # an explicit --alpha 0 is the default run, byte for byte
+    assert run(capsys, "inequality", "--alpha", "0") == run(capsys, "inequality")
+
+
 @pytest.mark.parametrize("argv", [["inequality"], ["braid-bounds", "--n", "5"]])
 def test_negative_alpha_in_exponent_notation(capsys, argv):
     # repr() and the JSON print small floats as -2.5e-05; the parser takes

@@ -66,6 +66,13 @@ def test_letters_are_index_sign_pairs():
     # a letter is a pair: a longer tuple is an error, not its first two entries
     with pytest.raises(ValueError):
         core.heap_from_word([(1, 1, 9)], 2)
+    # of ints, not bools: a float index, a bare int, a float or bool sign
+    # is an error, not a TypeError deep in the fold or a cell's label
+    for bad in [(1.0, 1), 5, (1, 1.0), (1, True)]:
+        with pytest.raises(ValueError, match="pair|ints"):
+            core.heap_from_word([bad], 2)
+        with pytest.raises(ValueError, match="pair|ints"):
+            core.push_letter(core.ColoredHeap(2), bad)
 
 
 def test_semigroup_never_cancels():
