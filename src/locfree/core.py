@@ -183,25 +183,33 @@ def _drop_push(columns: Columns, i: int, label: int, merge=None) -> Columns:
     Push a piece labelled `label` onto column i (1-based) of raw columns.
 
     The piece falls to the drop level, one above the highest top among
-    columns i-1, i and i+1. When column i's own top piece sits just
-    below the drop level (it is the unique maximum of its neighborhood,
-    hence removable), the letter may merge into it instead: merge(top label, label) returns None to stack the
-    new piece anyway, 0 to delete the top piece, or the top piece's new
-    label. merge=None always stacks. Returns the new columns tuple.
+    columns i-1, i and i+1, and lands there by _land. Returns the new
+    columns tuple.
     """
     col = columns[i - 1]
     mid = col[-1][0] if col else 0
     left = columns[i - 2][-1][0] if i >= 2 and columns[i - 2] else 0
     right = columns[i][-1][0] if i < len(columns) and columns[i] else 0
     drop = 1 + max(left, mid, right)
+    return columns[: i - 1] + (_land(col, drop, label, merge),) + columns[i:]
+
+
+def _land(col, drop: int, label: int, merge=None):
+    """
+    The column `col` after a piece labelled `label` lands on it at level
+    `drop`. When the column's own top piece sits just below the drop
+    level (it is the unique maximum of its neighborhood, hence
+    removable), the letter may merge into it instead: merge(top label,
+    label) returns None to stack the new piece anyway, 0 to delete the
+    top piece, or the top piece's new label. merge=None always stacks.
+    """
+    mid = col[-1][0] if col else 0
     merged = merge(col[-1][1], label) if merge and col and mid == drop - 1 else None
     if merged is None:
-        col = col + ((drop, label),)
-    elif merged == 0:
-        col = col[:-1]
-    else:
-        col = col[:-1] + ((mid, merged),)
-    return columns[: i - 1] + (col,) + columns[i:]
+        return col + ((drop, label),)
+    if merged == 0:
+        return col[:-1]
+    return col[:-1] + ((mid, merged),)
 
 
 def _cancel(top: int, sign: int) -> int | None:

@@ -6,6 +6,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from locfree import core, counting, oracle
@@ -23,23 +24,32 @@ FREE_GROUP_DRIFT_6 = [
 ]
 
 
+def _brute_merge(variant, r):
+    """The merge rule of core._drop_push, written out for the two quotients."""
+    if variant == "projective":
+        return lambda top, label: top  # f_i f_i = f_i
+    return lambda top, label: (top + label) % r  # f_i^r = 1
+
+
 def _brute_fold(word, n, variant, r):
     """
     The state of a letter word, folded here without the explorer: through
     core.heap_from_word for group and semigroup, and through
-    core._drop_push with the merge rule written out below for the
+    core._drop_push with the merge rule written out above for the
     projective (f_i^2 = f_i) and restricted (f_i^r = 1) variants.
     """
     if variant in (GROUP, SEMIGROUP):
         return core.heap_from_word(word, n, variant).columns
-    if variant == "projective":
-        merge = lambda top, label: top  # noqa: E731
-    else:
-        merge = lambda top, label: (top + label) % r  # noqa: E731
+    merge = _brute_merge(variant, r)
     state = ((),) * n
     for i, label in word:
         state = core._drop_push(state, i, label, merge)
     return state
+
+
+def _reps(table):
+    """The table's representatives as columns tuples, in id order."""
+    return [tuple(table.pool.cols[c] for c in row) for row in table.states.tolist()]
 
 
 def _brute_letters(n, variant, r):
@@ -136,11 +146,26 @@ def test_ball_states_are_heap_columns(n, mode, signs):
     table = oracle._Interned(n, 3, mode)
     flips = table.flips()
     states = set()
-    for rep, size in zip(table.states, table.sizes):
+    for rep, size in zip(_reps(table), table.sizes):
         orbit = set(oracle._orbit(rep, flips))
         assert len(orbit) == size and not orbit & states
         states |= orbit
     assert states == heaps
+
+
+def test_ball_budget_none_is_the_default_budget():
+    default = oracle.ball_counts(2, 3, GROUP)
+    assert oracle.ball_counts(2, 3, GROUP, max_states=None) == default
+
+
+@pytest.mark.parametrize("variant,r", [
+    (GROUP, None), (SEMIGROUP, None), ("projective", None), ("restricted", 5),
+])
+def test_ball_rows_stay_exact_past_int64(variant, r):
+    # 5 to 9 distinct columns over 32 positions: 9^32 ~ 2^101 row values
+    assert [oracle.ball_counts(32, 3, variant, r)[k] for k in (1, 2, 3)] == (
+        counting.count_words_range(32, 3, variant, r)
+    )
 
 
 def test_ball_budget():
@@ -172,6 +197,42 @@ def test_ball_counts_match_full_census(variant, r):
         assert oracle.ball_counts(n, radius, variant, r) == full, (n, variant, r)
 
 
+@pytest.mark.parametrize("variant,r", QUOTIENT_VARIANTS)
+def test_successor_rows_match_core(variant, r):
+    # each successor is the smallest orbit state of core._drop_push's
+    # push of the representative, by letter
+    if variant in (GROUP, SEMIGROUP):
+        merge = core._cancel if variant == GROUP else None
+    else:
+        merge = _brute_merge(variant, r)
+    if variant == GROUP:
+        flip = {1: -1, -1: 1}
+    elif variant == "restricted":
+        flip = [-e % r for e in range(r)]
+    else:
+        flip = None
+    for n in (1, 2, 3, 4):
+        table = oracle._Interned(n, 5, variant, r)
+        reps = _reps(table)
+        ids = {rep: sid for sid, rep in enumerate(reps)}
+        assert len(ids) == len(reps)
+        letters = dict.fromkeys(_brute_letters(n, variant, r))  # r = 2: one letter per column
+        for rep, row in zip(reps, table.succ.tolist()):
+            expected = [
+                ids[min(_orbit(core._drop_push(rep, i, label, merge), flip))]
+                for i, label in letters
+            ]
+            assert row == expected, (n, rep)
+
+
+@pytest.mark.parametrize("n,steps,mode", [(4, 8, SEMIGROUP), (3, 6, GROUP)])
+def test_roof_mask_is_core_roof(n, steps, mode):
+    table = oracle._Interned(n, steps, mode)
+    mask = oracle._roof_mask(np.array(table.pool.tops)[table.states])
+    marks = [[m != 0 for m in core._roof_marks(rep)] for rep in _reps(table)]
+    assert mask.tolist() == marks
+
+
 def _orbit(state, flip):
     """Every image of a state under the column flips and the reflection."""
     images = set()
@@ -196,7 +257,7 @@ def test_orbit_representatives_and_sizes(variant, r):
         flips = table.flips()
         full = _brute_census(n, 4, variant, r)
         covered = set()
-        for rep, size in zip(table.states, table.sizes):
+        for rep, size in zip(_reps(table), table.sizes):
             orbit = _orbit(rep, flip)
             assert rep == min(orbit) and size == len(orbit), (n, rep)
             expanded = list(oracle._orbit(rep, flips))
@@ -224,8 +285,9 @@ def test_ids_are_breadth_first(n, steps, variant, r):
     assert len(table.succ) == starts[steps]
     assert all(len(row) == table.base for row in table.succ)
     # and layer d is the orbits of reduced length d, read off the cells
+    reps = _reps(table)
     for d in range(steps + 1):
-        for cols in table.states[starts[d]:starts[d + 1]]:
+        for cols in reps[starts[d]:starts[d + 1]]:
             assert _reduced_length(cols, variant, r) == d, (d, cols)
 
 
@@ -251,11 +313,13 @@ def _one_object_per_column(states):
     (3, 5, "restricted", 4),
 ])
 def test_stored_states_share_their_columns(n, steps, variant, r):
-    # the pushed column of a new state, flipped or mirrored by
-    # _canonical or not, comes from the table's pool like the rest
+    # the pool holds each column of the stored states once, and only
+    # those: a pushed column, flipped or mirrored or not, is pooled once
     table = oracle._Interned(n, steps, variant, r)
-    assert _one_object_per_column(table.states)
-    assert set(table.pool) == {col for state in table.states for col in state}
+    cols = table.pool.cols
+    assert len(set(cols)) == len(cols)
+    assert set(cols) == {col for state in _reps(table) for col in state}
+    assert all(table.pool.index[col] == c for c, col in enumerate(cols))
 
 
 def test_distribution_keys_share_their_columns():
@@ -265,8 +329,9 @@ def test_distribution_keys_share_their_columns():
 
 
 def test_distribution_peak_memory():
-    # about 5.4 MB (CPython 3.11) with one object per distinct column,
-    # 7.6 MB when every state holds copies of its columns and cells
+    # about 4.0 MB (CPython 3.11) with the table in arrays and only the
+    # orbits that carry mass expanded, 5.2 MB with the table in tuples
+    # and 7.6 MB when every state holds copies of its columns and cells
     tracemalloc.start()
     try:
         oracle.exact_distribution(4, 9, SEMIGROUP)
@@ -299,7 +364,7 @@ def test_path_counts_sweep_only_live_orbits(mode):
                     full[t + 1][tid] += full[t][sid]
         for t, masses in enumerate(full):
             assert not any(masses[table.starts[t + 1]:]), (n, t)
-        assert list(table.rows()) == full, n
+        assert [masses.tolist() for masses in table.rows()] == full, n
 
 
 @pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
@@ -319,7 +384,7 @@ def test_quotient_drift_and_entropy_equal_full_table(mode):
 
 
 def test_entropy_rejects_an_orbit_mass_off_its_size(monkeypatch):
-    monkeypatch.setattr(oracle, "_orbit_size", lambda state, flip: 3)
+    monkeypatch.setattr(oracle, "_orbit_sizes", lambda states, moves: np.full(len(states), 3))
     with pytest.raises(AssertionError, match="not a multiple of its size 3"):
         oracle.exact_entropy(2, 3, GROUP)
 
@@ -393,14 +458,20 @@ def test_distribution_path_counts_semigroup():
 def test_roof_recursion_check_catches_corruption():
     table = oracle._Interned(3, 5, SEMIGROUP)
     good = list(table.rows())
-    assert table.check_roof_recursion(iter(good)) == good[-1]
+    assert table.check_roof_recursion(iter(good)) is good[-1]
     depth = 2
     sid = table.starts[depth]  # the first orbit of that layer
     for t in (depth, depth + 1):  # a count on its own length, and off it
-        bad = [row[:] for row in good]
+        bad = [row.copy() for row in good]
         bad[t][sid] += 1
         with pytest.raises(AssertionError):
             table.check_roof_recursion(bad)
+    # a mass its orbit size divides passes the divisibility check; the
+    # recursion then names the state and the step
+    bad = [row.copy() for row in good]
+    bad[depth][sid] += table.sizes[sid]
+    with pytest.raises(AssertionError, match=f"fails at state {sid}, step {depth}$"):
+        table.check_roof_recursion(bad)
 
 
 def test_distribution_support_within_ball():
@@ -432,7 +503,7 @@ def test_distribution_budget_counts_its_support():
 
 
 def test_distribution_rejects_an_orbit_mass_off_its_size(monkeypatch):
-    monkeypatch.setattr(oracle, "_orbit_size", lambda state, flip: 3)
+    monkeypatch.setattr(oracle, "_orbit_sizes", lambda states, moves: np.full(len(states), 3))
     with pytest.raises(AssertionError, match="not a multiple of its size 3"):
         oracle.exact_distribution(2, 3, GROUP)
 
@@ -461,6 +532,16 @@ def test_group_drift_increment_is_one_minus_mean_roof(n, n_steps):
         next_length, next_roof = _length_and_roof(oracle.exact_distribution(n, N + 1, GROUP))
         assert next_length - length == 1 - roof / n, (n, N)
         length, roof = next_length, next_roof
+
+
+def test_path_counts_stay_exact_past_int64():
+    # LF_1 is Z: E|S_t| = sum_k C(t, k) |2k - t| / 2^t, and 2^70 paths
+    # overflow int64
+    steps = 70
+    series = oracle.exact_drift_series(1, steps, GROUP, max_states=100)
+    for t in (1, 2, 63, 64, steps):
+        mean = Fraction(sum(math.comb(t, k) * abs(2 * k - t) for k in range(t + 1)), 2**t)
+        assert series[t - 1] == mean / t, t
 
 
 def test_drift_series_free_group():
