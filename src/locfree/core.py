@@ -113,8 +113,7 @@ class NormalWord:
         """Letter-by-letter spelling, one Letter per unit of length."""
         out: list[Letter] = []
         for s in self.syllables:
-            sign = 1 if s.exponent > 0 else -1
-            out.extend(Letter(s.index, sign) for _ in range(abs(s.exponent)))
+            out += [Letter(s.index, 1 if s.exponent > 0 else -1)] * abs(s.exponent)
         return out
 
 
@@ -160,6 +159,8 @@ class ColoredHeap:
     columns: Columns = ()
 
     def __post_init__(self):
+        if type(self.n) is not int:  # bool is an int subclass
+            raise ValueError(f"n must be an int, got {self.n!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         _check_mode(self.mode)
@@ -178,22 +179,6 @@ class ColoredHeap:
         return all(not col for col in self.columns)
 
 
-def _drop_push(columns: Columns, i: int, label: int, merge=None) -> Columns:
-    """
-    Push a piece labelled `label` onto column i (1-based) of raw columns.
-
-    The piece falls to the drop level, one above the highest top among
-    columns i-1, i and i+1, and lands there by _land. Returns the new
-    columns tuple.
-    """
-    col = columns[i - 1]
-    mid = col[-1][0] if col else 0
-    left = columns[i - 2][-1][0] if i >= 2 and columns[i - 2] else 0
-    right = columns[i][-1][0] if i < len(columns) and columns[i] else 0
-    drop = 1 + max(left, mid, right)
-    return columns[: i - 1] + (_land(col, drop, label, merge),) + columns[i:]
-
-
 def _land(col, drop: int, label: int, merge=None):
     """
     The column `col` after a piece labelled `label` lands on it at level
@@ -202,6 +187,8 @@ def _land(col, drop: int, label: int, merge=None):
     removable), the letter may merge into it instead: merge(top label,
     label) returns None to stack the new piece anyway, 0 to delete the
     top piece, or the top piece's new label. merge=None always stacks.
+    The one landing rule: _push_all and the oracle's layer steps both
+    land every piece here.
     """
     mid = col[-1][0] if col else 0
     merged = merge(col[-1][1], label) if merge and col and mid == drop - 1 else None
@@ -219,14 +206,19 @@ def _cancel(top: int, sign: int) -> int | None:
 
 def _push_all(heap: ColoredHeap, letters) -> ColoredHeap:
     """
-    Left fold of _drop_push over raw columns, checking each letter, with
-    one ColoredHeap built at the end. Each letter is an (index, sign)
-    pair of ints, a Letter or a bare tuple; anything else, a bare int, a
-    float or a bool among them, raises ValueError.
+    Left fold of the letters over a list of the heap's columns, checking
+    each letter, with one ColoredHeap built at the end. tops[i] is the
+    top level of column i, with 0 sentinels at tops[0] and tops[n + 1];
+    a letter f_i^s drops to one above the highest of tops[i - 1..i + 1]
+    and lands by _land. Each letter is an (index, sign) pair of ints, a
+    Letter or a bare tuple; anything else, a bare int, a float or a bool
+    among them, raises ValueError.
     """
     n, mode = heap.n, heap.mode
     merge = _cancel if mode == GROUP else None
-    columns = heap.columns
+    semigroup = mode == SEMIGROUP
+    cols = list(heap.columns)
+    tops = [0, *(col[-1][0] if col else 0 for col in cols), 0]
     for letter in letters:
         try:
             i, s = letter
@@ -236,29 +228,37 @@ def _push_all(heap: ColoredHeap, letters) -> ColoredHeap:
             raise ValueError(f"letter index and sign must be ints, got {letter!r}")
         if not 1 <= i <= n:
             raise ValueError(f"letter index {i} out of range 1..{n}")
-        if s not in (1, -1):
-            raise ValueError("letter sign must be +1 or -1")
-        if mode == SEMIGROUP and s != 1:
-            raise ValueError("semigroup heaps accept only positive letters")
-        columns = _drop_push(columns, i, s, merge)
-    return ColoredHeap(n, mode, columns)
+        if s != 1:
+            if s != -1:
+                raise ValueError("letter sign must be +1 or -1")
+            if semigroup:
+                raise ValueError("semigroup heaps accept only positive letters")
+        drop = tops[i - 1]  # the highest of the three tops, without a call of max
+        if tops[i] > drop:
+            drop = tops[i]
+        if tops[i + 1] > drop:
+            drop = tops[i + 1]
+        col = _land(cols[i - 1], drop + 1, s, merge)
+        cols[i - 1] = col
+        tops[i] = col[-1][0] if col else 0
+    return ColoredHeap(n, mode, tuple(cols))
 
 
 def push_letter(heap: ColoredHeap, letter: Letter) -> ColoredHeap:
     """
     Heap of w * f_i^s given the heap of w.
 
-    The arriving cell, colored s, is pushed by _drop_push. Group mode
-    cancels it against a removable same-column top cell of color -s;
-    semigroup mode always stacks. The cell count changes by exactly +1
-    or -1.
+    The arriving cell, colored s, drops to one above the highest top
+    among columns i-1, i and i+1 and lands by _land. Group mode cancels
+    it against a removable same-column top cell of color -s; semigroup
+    mode always stacks. The cell count changes by exactly +1 or -1.
     """
     return _push_all(heap, (letter,))
 
 
 def heap_from_word(letters, n: int, mode: str = GROUP) -> ColoredHeap:
     """
-    The heap of a letter sequence: one fold of _drop_push from the empty
+    The heap of a letter sequence: one fold of _push_all from the empty
     heap, checking each letter as push_letter does.
 
     Accepts Letter values or bare (index, sign) pairs. The result is

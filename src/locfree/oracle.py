@@ -3,11 +3,12 @@ Brute-force ground truth at small sizes.
 
 Nothing in this module knows the counting formulas. All four variants
 are heaps of pieces: a state is a tuple of columns, each a tuple of
-(level, label) pieces in ascending level order, and a letter is pushed
-by core._drop_push under the variant's merge rule for a removable top
-piece of its column. The group cancels opposite colors and the
-semigroup always stacks, exactly as core.push_letter does, so their
-state is core.heap_from_word(w, n).columns. The projective semigroup
+(level, label) pieces in ascending level order, and a letter's piece
+drops to one above the highest top among its column and the two beside
+it, and lands by core._land under the variant's merge rule for a
+removable top piece of its column. The group cancels opposite colors
+and the semigroup always stacks, exactly as core.push_letter does, so
+their state is core.heap_from_word(w, n).columns. The projective semigroup
 (f_i^2 = f_i) absorbs the letter into the piece; the restricted-order
 quotient (f_i^r = 1) labels pieces by exponent classes in Z/rZ \\ {0},
 adds the letter's class and deletes the piece when it reaches 0. Either

@@ -44,12 +44,16 @@ def test_push_no_cancel_under_cover():
 
 def test_push_rejects_bad_letters():
     # the same messages from push_letter and from heap_from_word, for
-    # Letter values and bare pairs, anywhere in a word
+    # Letter values and bare pairs, anywhere in a word; a letter failing
+    # two checks reports the first: the index before the sign, and a
+    # sign outside {+1, -1} before the semigroup's rule
     for bad, mode, message in [
         ((4, 1), GROUP, "letter index 4 out of range 1..3"),
         ((0, 1), GROUP, "letter index 0 out of range 1..3"),
         ((1, 0), GROUP, "letter sign must be"),
         ((1, -1), SEMIGROUP, "semigroup heaps accept only positive letters"),
+        ((0, 2), GROUP, "letter index 0 out of range 1..3"),
+        ((1, 2), SEMIGROUP, r"letter sign must be \+1 or -1"),
     ]:
         with pytest.raises(ValueError, match=message):
             core.push_letter(core.ColoredHeap(3, mode), Letter(*bad))
@@ -128,6 +132,8 @@ def test_readout_succession_order():
             "exponent must be nonzero",
         ),
         (lambda: core.ColoredHeap(0), "n must be >= 1"),
+        (lambda: core.ColoredHeap(2.0), "n must be an int, got 2.0"),
+        (lambda: core.ColoredHeap(True), "n must be an int, got True"),
         (lambda: core.ColoredHeap(2, GROUP, ((),)), "columns length must equal n"),
         # two cells side by side at level 1: neither can be emitted first
         (
@@ -135,7 +141,7 @@ def test_readout_succession_order():
             "no emittable cell",
         ),
     ],
-    ids=["alphabet", "index", "exponent", "heap-n", "heap-columns", "readout"],
+    ids=["alphabet", "index", "exponent", "heap-n", "heap-float-n", "heap-bool-n", "heap-columns", "readout"],
 )
 def test_structural_checks_fire(build, message):
     with pytest.raises(ValueError, match=message):
@@ -146,6 +152,19 @@ def test_readout_empty():
     w = core.normal_form_readout(core.ColoredHeap(4))
     assert w.syllables == ()
     assert w.length == 0
+
+
+def test_word_letters_one_per_unit_of_length():
+    # one Letter per unit of each syllable's exponent, signed by it
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        word = core.normal_form_readout(core.heap_from_word(random_word(rng, n, 30), n))
+        spelled = [Letter(s.index, 1 if s.exponent > 0 else -1)
+                   for s in word.syllables for _ in range(abs(s.exponent))]
+        letters = word.letters()
+        assert letters == spelled and len(letters) == word.length
+        assert all(type(g) is Letter for g in letters)
 
 
 def test_readout_merges_syllables():

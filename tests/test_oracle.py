@@ -24,8 +24,22 @@ FREE_GROUP_DRIFT_6 = [
 ]
 
 
+def _drop_push(columns, i, label, merge=None):
+    """
+    One push onto raw columns, as a new columns tuple: the piece
+    labelled `label` falls to one above the highest top among columns
+    i-1, i and i+1 (1-based) and lands there by core._land.
+    """
+    col = columns[i - 1]
+    mid = col[-1][0] if col else 0
+    left = columns[i - 2][-1][0] if i >= 2 and columns[i - 2] else 0
+    right = columns[i][-1][0] if i < len(columns) and columns[i] else 0
+    drop = 1 + max(left, mid, right)
+    return columns[: i - 1] + (core._land(col, drop, label, merge),) + columns[i:]
+
+
 def _brute_merge(variant, r):
-    """The merge rule of core._drop_push, written out for the two quotients."""
+    """The merge rule of _drop_push, written out for the two quotients."""
     if variant == "projective":
         return lambda top, label: top  # f_i f_i = f_i
     return lambda top, label: (top + label) % r  # f_i^r = 1
@@ -35,7 +49,7 @@ def _brute_fold(word, n, variant, r):
     """
     The state of a letter word, folded here without the explorer: through
     core.heap_from_word for group and semigroup, and through
-    core._drop_push with the merge rule written out above for the
+    _drop_push with the merge rule written out above for the
     projective (f_i^2 = f_i) and restricted (f_i^r = 1) variants.
     """
     if variant in (GROUP, SEMIGROUP):
@@ -43,7 +57,7 @@ def _brute_fold(word, n, variant, r):
     merge = _brute_merge(variant, r)
     state = ((),) * n
     for i, label in word:
-        state = core._drop_push(state, i, label, merge)
+        state = _drop_push(state, i, label, merge)
     return state
 
 
@@ -199,8 +213,8 @@ def test_ball_counts_match_full_census(variant, r):
 
 @pytest.mark.parametrize("variant,r", QUOTIENT_VARIANTS)
 def test_successor_rows_match_core(variant, r):
-    # each successor is the smallest orbit state of core._drop_push's
-    # push of the representative, by letter
+    # each successor is the smallest orbit state of _drop_push's push
+    # of the representative, by letter
     if variant in (GROUP, SEMIGROUP):
         merge = core._cancel if variant == GROUP else None
     else:
@@ -219,10 +233,37 @@ def test_successor_rows_match_core(variant, r):
         letters = dict.fromkeys(_brute_letters(n, variant, r))  # r = 2: one letter per column
         for rep, row in zip(reps, table.succ.tolist()):
             expected = [
-                ids[min(_orbit(core._drop_push(rep, i, label, merge), flip))]
+                ids[min(_orbit(_drop_push(rep, i, label, merge), flip))]
                 for i, label in letters
             ]
             assert row == expected, (n, rep)
+
+
+@pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
+def test_core_fold_is_the_one_push_reference(mode):
+    # core._push_all folds over a list of columns and their tops; it
+    # builds the heap _drop_push builds one letter at a time, from the
+    # empty heap and, through push_letter, from stored columns
+    merge = core._cancel if mode == GROUP else None
+    signs = (1, -1) if mode == GROUP else (1,)
+    rng = random.Random(31)
+    for n in range(1, 41):
+        for _ in range(6):
+            word = [(rng.randint(1, n), rng.choice(signs)) for _ in range(rng.randrange(3 * n + 20))]
+            expected = [((),) * n]
+            for i, s in word:
+                expected.append(_drop_push(expected[-1], i, s, merge))
+            heap = core.heap_from_word(word, n, mode)
+            assert heap == core.ColoredHeap(n, mode, expected[-1]), (n, word)
+            assert type(heap.columns) is tuple and all(type(col) is tuple for col in heap.columns)
+            cut = rng.randrange(len(word) + 1)
+            heap = core.heap_from_word([core.Letter(*g) for g in word[:cut]], n, mode)
+            for t in range(cut, len(word)):
+                pushed = core.push_letter(heap, core.Letter(*word[t]))
+                # the pushed-onto heap keeps its columns
+                assert heap.columns == expected[t], (n, word, t)
+                assert pushed.columns == expected[t + 1], (n, word, t)
+                heap = pushed
 
 
 @pytest.mark.parametrize("n,steps,mode", [(4, 8, SEMIGROUP), (3, 6, GROUP)])

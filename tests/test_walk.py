@@ -95,6 +95,19 @@ def test_letter_codes_match_the_modulo_formula():
             assert np.array_equal(new, old), (mode, n, seed, stream)
 
 
+def test_draw_codes_are_the_raw_philox_words():
+    # Generator.integers(0, 2^64, uint64) hands back the bit generator's
+    # raw 64-bit words, so _draw's codes would be the same if it read
+    # Philox(key).random_raw(n), which NEP 19 freezes, directly
+    size = 10**5
+    for seed, stream in ((0, 0), (1, 7), (2**64 - 1, 3)):
+        raw = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)).random_raw(size)
+        for n, mode in itertools.product((5, 10**6), (GROUP, SEMIGROUP)):
+            base = np.uint64(2 * n if mode == GROUP else n)
+            codes = walk._draw(WalkParams(n, 10, 1, seed, mode), stream)(size)
+            assert np.array_equal(codes, (raw % base).astype(np.int64)), (seed, stream, n, mode)
+
+
 @pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
 def test_letter_stream_is_the_one_shot_draw_at_chunk_edges(mode):
     # the walks read, CHUNK at a time, the letters of letter_stream's one call
