@@ -268,19 +268,6 @@ def heap_from_word(letters, n: int, mode: str = GROUP) -> ColoredHeap:
     return _push_all(ColoredHeap(n, mode), letters)
 
 
-def _roof_marks(columns: Columns) -> tuple[int, ...]:
-    """
-    Roof marks of raw columns: a nonempty column whose top level is >=
-    its neighbours' is marked with its top cell's label, any other 0.
-    """
-    tops = [col[-1][0] if col else 0 for col in columns]
-    edged = [0, *tops, 0]
-    return tuple(
-        columns[i][-1][1] if t and t >= edged[i] and t >= edged[i + 2] else 0
-        for i, t in enumerate(tops)
-    )
-
-
 def normal_form_readout(heap: ColoredHeap) -> NormalWord:
     """
     The unique normal form of the heap's element.

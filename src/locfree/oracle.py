@@ -28,9 +28,9 @@ walk statistics come from dynamic programming with integer path counts
 over the same table and its transition rows: exact_drift_series reads
 the orbit masses, exact_entropy and exact_entropy_series the per-state
 count mass/size of each orbit, and exact_distribution gives that count
-to every state of the orbit, expanded by _orbit. Agreement between these
-enumerations and the transfer-matrix counts is the central correctness
-gate of the package.
+to every state of the orbit. Agreement between these enumerations and
+the transfer-matrix counts is the central correctness gate of the
+package.
 
 The table is a set of numpy arrays over one column pool (_Pool): one
 object per distinct column, with its top level, its reduced length and
@@ -49,10 +49,11 @@ folds each row as it comes, holding two at most. exact_distribution
 reads only the last row; in semigroup mode its roof check folds the
 rows first, keeping of each only the counts of the orbits at that row's
 depth, and hands back the last row. Once its roof and normalisation
-checks pass, exact_distribution releases the table's arrays, expands
-only the orbits that carry mass, takes their columns (flipped or not)
-from the pool and one flipped copy of each pooled column, and shares one
-Fraction among all states with the same per-state count.
+checks pass, exact_distribution releases the table's arrays and
+expands only the orbits that carry mass: each state of an orbit takes
+every column of the representative or its flip (_Pool.choices), and
+then its reflection. One Fraction is shared among all states with the
+same per-state count.
 
 Budgets are deliberately conservative and explicit. max_states bounds
 the orbits stored, and exact_distribution also bounds the states it
@@ -78,7 +79,7 @@ from functools import cache
 import numpy as np
 
 from locfree import core
-from locfree.core import GROUP, PROJECTIVE, RESTRICTED, SEMIGROUP
+from locfree.core import GROUP, PROJECTIVE, SEMIGROUP
 
 # Default enumeration budgets (orbits); see module docstring.
 BALL_STATE_BUDGET = 2_000_000
@@ -101,12 +102,15 @@ class ExactDistribution:
 
 def _letters(n: int, variant: str, r: int | None):
     """
-    The variant's letters as (column, label) pushes, its merge rule, and
-    its label flip: flip[label] is the label of the inverse letter under
-    the automorphism f_i -> f_i^{-1}, or flip is None where the variant
-    has no such automorphism (semigroup, projective).
+    The variant's letters as (column, label) pushes, its merge rule, its
+    label flip and its column length rule. flip[label] is the label of
+    the inverse letter under the automorphism f_i -> f_i^{-1}, or flip is
+    None where the variant has no such automorphism (semigroup,
+    projective). length(col) is the reduced length of a column: its
+    piece count, or for the restricted variant the sum of the geodesic
+    lengths min(e, r - e) of its classes.
     """
-    flip = None
+    flip, length = None, len
     if variant == GROUP:
         labels, merge, flip = (1, -1), core._cancel, {1: -1, -1: 1}
     elif variant == SEMIGROUP:
@@ -116,7 +120,8 @@ def _letters(n: int, variant: str, r: int | None):
     else:  # at r = 2, f_i^{-1} = f_i: one label
         labels, merge = (1,) if r == 2 else (1, r - 1), lambda top, label: (top + label) % r
         flip = [-e % r for e in range(r)]
-    return [(i, label) for i in range(1, n + 1) for label in labels], merge, flip
+        length = lambda col: sum(min(e, r - e) for _, e in col)
+    return [(i, label) for i in range(1, n + 1) for label in labels], merge, flip, length
 
 
 def _flipped(col, flip):
@@ -134,27 +139,6 @@ def _orbit_sizes(states, moves):
     moved = moves[states].sum(axis=1, dtype=np.int64)
     mirrored = (states != states[:, ::-1]).any(axis=1)
     return np.int64(1) << (moved + mirrored)
-
-
-def _orbit(rep, flips):
-    """
-    Every state of the orbit of rep, each once: each column or its
-    flip, then the reflection. flips maps each column of rep to its
-    flipped column, itself where the flip fixes it, or is None where the
-    variant has no flip. rep's columns are canonical, so its reflection
-    lies in its flip orbit only if rep is its own reflection.
-    """
-    if flips is None:
-        states = (rep,)
-    else:
-        choices = ((col,) if flips[col] is col else (col, flips[col]) for col in rep)
-        states = itertools.product(*choices)
-    if rep[::-1] == rep:
-        yield from states
-    else:
-        for state in states:
-            yield state
-            yield state[::-1]
 
 
 def _per_state(masses, sizes):
@@ -177,7 +161,7 @@ def _roof_mask(tops):
     """
     The roof of each state, from its columns' top levels (states x
     columns, 0 for an empty column): the non-empty columns whose top
-    level is >= their neighbours', core._roof_marks's rule.
+    level is >= their neighbours'.
     """
     left, right = _neighbours(tops)
     return (tops > 0) & (tops >= left) & (tops >= right)
@@ -235,15 +219,15 @@ class _Pool:
     """
     The columns of the stored states, one entry each: cols[c] is the
     column with id c (id 0 the empty column), one object per distinct
-    column, and index maps each column back to its id. Every pooled
-    column is canonical, the smaller of itself and its flip (see
-    _letters). tops[c] and lengths[c] are the column's top level and
-    reduced length, and moves[c] whether the flip changes it.
+    column, and index maps each column back to its id. flip and length
+    are the variant's label flip and column length rule, from _letters.
+    Every pooled column is canonical, the smaller of itself and its
+    flip. tops[c] and lengths[c] are the column's top level and reduced
+    length, and moves[c] whether the flip changes it.
     """
 
-    def __init__(self, variant: str, r: int | None, flip):
-        self.restricted_order = r if variant == RESTRICTED else None
-        self.flip = flip
+    def __init__(self, flip, length):
+        self.flip, self.length = flip, length
         self.cols, self.tops, self.lengths, self.moves = [], [], [], []
         self.index = {}
         self.intern(())
@@ -268,10 +252,23 @@ class _Pool:
             cid = self.index[col] = len(self.cols)
             self.cols.append(col)
             self.tops.append(col[-1][0] if col else 0)
-            r = self.restricted_order
-            self.lengths.append(len(col) if r is None else sum(min(e, r - e) for _, e in col))
+            self.lengths.append(self.length(col))
             self.moves.append(moves)
         return cid
+
+    def choices(self) -> dict | None:
+        """
+        Each pooled column -> (col,) where the flip fixes it, (col, its
+        flipped column) where the flip changes it; None where the variant
+        has no flip. Built on demand: the choices of a representative's
+        columns give every state of its flip orbit.
+        """
+        if self.flip is None:
+            return None
+        return {
+            col: (col, _flipped(col, self.flip)) if moves else (col,)
+            for col, moves in zip(self.cols, self.moves)
+        }
 
     def ranks(self):
         """rank[c]: the place of column c in the lexicographic order of the pool."""
@@ -291,8 +288,7 @@ class _Interned:
     orbit sid, and sizes[sid] is the orbit's size. Its columns are
     canonical, and it is the smaller of its columns tuple and its
     reflection, which makes it the smallest state of its orbit; pool.cols
-    gives the columns by id and flip is the variant's label flip (see
-    _letters).
+    gives the columns by id.
 
     Ids are breadth first: layer d, the orbits that d pushes first
     reached, is the id range starts[d] <= sid < starts[d + 1] (d = 0,
@@ -314,12 +310,12 @@ class _Interned:
         if n < 1:
             raise ValueError("n must be >= 1")
         self.budget = budget = BALL_STATE_BUDGET if budget is None else budget
-        letters, self.merge, self.flip = _letters(n, variant, r)
+        letters, self.merge, flip, length = _letters(n, variant, r)
         self.base = len(letters)
         self.at = np.array([i - 1 for i, _ in letters])  # the column each letter pushes
         self.labels = sorted({label for _, label in letters})
         self.kind = np.array([self.labels.index(label) for _, label in letters])
-        self.pool = _Pool(variant, r, self.flip)
+        self.pool = _Pool(flip, length)
         layers = [np.zeros((1, n), np.int32)]
         starts = [0, 1]
         succ = []
@@ -401,21 +397,6 @@ class _Interned:
             targets[~grown] = starts[max(d - 1, 0)] + found
         return fresh[first[order]], targets.reshape(m, self.base)
 
-    def flips(self) -> dict | None:
-        """
-        Each pooled column -> its flipped column, one object each and
-        the column itself where the flip fixes it; None where the
-        variant has no flip. Between them, the keys and values are the
-        columns of every state of the stored orbits (see _orbit).
-        """
-        if self.flip is None:
-            return None
-        flips = {}
-        for col in self.pool.cols:
-            other = _flipped(col, self.flip)
-            flips[col] = col if other == col else other
-        return flips
-
     def rows(self):
         """
         counts[t] for t = 0, ..., steps, one step at a time:
@@ -494,7 +475,7 @@ def ball_counts(
     radius: int,
     variant: str,
     r: int | None = None,
-    max_states: int | None = BALL_STATE_BUDGET,
+    max_states: int | None = None,
 ) -> dict[int, int]:
     """
     length -> number of elements of that reduced length, for every
@@ -558,17 +539,23 @@ def exact_distribution(
         )
     per_state = _per_state(final[live], sizes)
     reps = table.states[live].T
-    pool, flips = table.pool.cols, table.flips()
+    cols, choices = table.pool.cols, table.pool.choices()
     del table, final, sizes  # free the table's arrays before the Fractions are built
     probs = {}
     shared: dict[int, Fraction] = {}  # one Fraction per distinct per-state count
     # zip makes each representative's columns tuple, position by position
-    for rep, c in zip(zip(*(map(pool.__getitem__, ids) for ids in reps)), map(int, per_state)):
+    for rep, c in zip(zip(*(map(cols.__getitem__, ids) for ids in reps)), map(int, per_state)):
         p = shared.get(c)
         if p is None:
             p = shared[c] = Fraction(c, denom)
-        for state in _orbit(rep, flips):
+        # rep's columns are canonical, so its reflection lies in its flip
+        # orbit only if rep is its own reflection
+        mirrored = rep[::-1] != rep
+        states = (rep,) if choices is None else itertools.product(*map(choices.__getitem__, rep))
+        for state in states:
             probs[state] = p
+            if mirrored:
+                probs[state[::-1]] = p
     return ExactDistribution(n, mode, N, probs)
 
 

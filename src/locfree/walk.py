@@ -31,11 +31,12 @@ relaxation scale):
   heap geometry semigroup: height coefficient H n / N and cell density
                 N / (n H) of the deposit.
 
-Determinism: the letter stream of trial t is Philox counter-based
-random bits keyed by the 64-bit pair (seed, t), reduced modulo the
-letter count (bias below 2^-53 for n <= 2^10, since 2n divides into
-2^64 that evenly). letter_stream is the one-call draw of the whole
-stream; the walks read the same codes CHUNK at a time from one Philox
+Determinism: the letter codes of trial t are the raw 64-bit words of
+the Philox bit generator keyed by the 64-bit pair (seed, t), reduced
+modulo the letter count (bias below 2^-53 for n <= 2^10, since 2n
+divides into 2^64 that evenly); NEP 19 freezes that stream across numpy
+versions. letter_stream is the one-call draw of the whole stream; the
+walks read the same codes CHUNK at a time from one Philox bit
 generator, which is counter-based, so the chunks are the one-call codes
 bit for bit, and the tests hold the two equal at chunk edges. Identical
 (params, trial_index) give bit-identical WalkStats on every platform:
@@ -112,6 +113,11 @@ class WalkParams:
     burn_in: int | None = None
 
     def __post_init__(self):
+        # bool is an int subclass; a float or numpy int fails far from here
+        for name in ("n", "steps", "trials", "snapshot_every", "burn_in"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "burn_in" and value is None):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.steps < 1:
@@ -119,7 +125,7 @@ class WalkParams:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         # a float or an out-of-range int would reach Philox as some other key
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an int in [0, 2^64), got {self.seed!r}")
         _check_mode(self.mode)
         if self.snapshot_every < 0:
@@ -166,14 +172,16 @@ class WalkStats:
 def _draw(params: WalkParams, trial_index: int):
     """
     One trial's draw rule: a function that returns its next `size`
-    letter codes as int64, from one Philox generator keyed by the 64-bit
-    pair (seed, trial_index), reduced modulo the letter count.
+    letter codes as int64, the raw 64-bit words of one Philox bit
+    generator keyed by the 64-bit pair (seed, trial_index), reduced
+    modulo the letter count. NEP 19 freezes the bit generators' streams,
+    so the codes rest on nothing else of numpy's random module.
     """
-    gen = np.random.Generator(np.random.Philox(key=np.array([params.seed, trial_index], dtype=np.uint64)))
+    bits = np.random.Philox(key=np.array([params.seed, trial_index], dtype=np.uint64))
     base = np.uint64(2 * params.n if params.mode == GROUP else params.n)
 
     def draw(size: int) -> np.ndarray:
-        return (gen.integers(0, 2**64, size=size, dtype=np.uint64) % base).astype(np.int64)
+        return (bits.random_raw(size) % base).astype(np.int64)
 
     return draw
 
@@ -573,13 +581,16 @@ def roof_chain_run(
     mode, burn_in=burn_in), and it reads that walk's trial 0 letters in
     the same runs as run_trial. So with the same seed and burn-in
     ones_density equals roof_density_estimate of that trial bit for
-    bit, and final its last snapshot's roof. The boundary, sample_every >= 0 and the chain's own
-    storage budget are the only checks it adds.
+    bit, and final its last snapshot's roof. The boundary, sample_every
+    (an int >= 0) and the chain's own storage budget are the only checks
+    it adds.
     """
     params = WalkParams(n, steps, 1, seed, mode, burn_in=burn_in)
     burn_in = params.burn_in
     if boundary not in (OPEN, PERIODIC):
         raise ValueError("boundary must be open or periodic")
+    if type(sample_every) is not int:
+        raise ValueError(f"sample_every must be an int, got {sample_every!r}")
     if sample_every < 0:
         raise ValueError("sample_every must be >= 0")
     samples = steps // sample_every if sample_every else 0

@@ -1,8 +1,9 @@
 """
 Heap checks that only the tests need: the structural invariants of a
 colored heap, and its roof as a record, both read off the columns tuple.
-The roof marks come from core._roof_marks, the one rule the oracle's
-roof recursion also uses.
+roof_marks is the roof rule read one state at a time, the reference for
+the oracle's array form (oracle._roof_mask) and for the walk kernels'
+roof marks.
 """
 
 from dataclasses import dataclass
@@ -26,12 +27,25 @@ class RoofSet:
         return tuple(i + 1 for i, m in enumerate(self.marks) if m)
 
 
+def roof_marks(columns: core.Columns) -> tuple[int, ...]:
+    """
+    Roof marks of raw columns: a nonempty column whose top level is >=
+    its neighbours' is marked with its top cell's label, any other 0.
+    """
+    tops = [col[-1][0] if col else 0 for col in columns]
+    edged = [0, *tops, 0]
+    return tuple(
+        columns[i][-1][1] if t and t >= edged[i] and t >= edged[i + 2] else 0
+        for i, t in enumerate(tops)
+    )
+
+
 def roof_of(heap: core.ColoredHeap) -> RoofSet:
     """
     Columns whose top cell is removable in one step; each mark is the
     top cell's color, the sign whose inverse letter performs the removal.
     """
-    return RoofSet(heap.n, core._roof_marks(heap.columns))
+    return RoofSet(heap.n, roof_marks(heap.columns))
 
 
 def validate_heap(heap: core.ColoredHeap) -> None:

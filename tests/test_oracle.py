@@ -13,6 +13,7 @@ from locfree import core, counting, oracle
 from locfree.core import GROUP, SEMIGROUP
 
 import freechain
+import heapcheck
 
 FREE_GROUP_DRIFT_6 = [
     Fraction(1),
@@ -158,10 +159,10 @@ def test_ball_states_are_heap_columns(n, mode, signs):
     )
     heaps = {core.heap_from_word(w, n, mode).columns for w in words}
     table = oracle._Interned(n, 3, mode)
-    flips = table.flips()
+    flip = oracle._letters(n, mode, None)[2]
     states = set()
     for rep, size in zip(_reps(table), table.sizes):
-        orbit = set(oracle._orbit(rep, flips))
+        orbit = _orbit(rep, flip)
         assert len(orbit) == size and not orbit & states
         states |= orbit
     assert states == heaps
@@ -270,7 +271,7 @@ def test_core_fold_is_the_one_push_reference(mode):
 def test_roof_mask_is_core_roof(n, steps, mode):
     table = oracle._Interned(n, steps, mode)
     mask = oracle._roof_mask(np.array(table.pool.tops)[table.states])
-    marks = [[m != 0 for m in core._roof_marks(rep)] for rep in _reps(table)]
+    marks = [[m != 0 for m in heapcheck.roof_marks(rep)] for rep in _reps(table)]
     assert mask.tolist() == marks
 
 
@@ -289,19 +290,21 @@ def _orbit(state, flip):
 @pytest.mark.parametrize("variant,r", QUOTIENT_VARIANTS)
 def test_orbit_representatives_and_sizes(variant, r):
     # the representative is the smallest state of its orbit, the stored
-    # size and oracle._orbit are the orbit's (a column of class r/2 cells
-    # at even r is its own flip), oracle._orbit yields each state once,
-    # and the orbits tile the brute-force ball
+    # size is the orbit's (a column of class r/2 cells at even r is its
+    # own flip), the pool's flip choices of its columns, each state with
+    # its reflection unless rep is its own, give every state of the orbit
+    # once, and the orbits tile the brute-force ball
     flip = oracle._letters(1, variant, r)[2]
     for n in (1, 2, 3):
         table = oracle._Interned(n, 4, variant, r)
-        flips = table.flips()
+        choices = table.pool.choices()
         full = _brute_census(n, 4, variant, r)
         covered = set()
         for rep, size in zip(_reps(table), table.sizes):
             orbit = _orbit(rep, flip)
             assert rep == min(orbit) and size == len(orbit), (n, rep)
-            expanded = list(oracle._orbit(rep, flips))
+            flipped = [rep] if choices is None else list(itertools.product(*map(choices.__getitem__, rep)))
+            expanded = flipped if rep[::-1] == rep else flipped + [state[::-1] for state in flipped]
             assert len(expanded) == size and set(expanded) == orbit, (n, rep)
             covered |= orbit
         assert covered == set(full) and sum(table.sizes) == len(full)
@@ -559,7 +562,7 @@ def _length_and_roof(dist):
     length = roof = Fraction(0)
     for columns, p in dist.probabilities.items():
         length += p * sum(map(len, columns))
-        roof += p * sum(1 for m in core._roof_marks(columns) if m)
+        roof += p * sum(1 for m in heapcheck.roof_marks(columns) if m)
     return length, roof
 
 

@@ -39,6 +39,22 @@ def test_params_validation():
     ):
         with pytest.raises(ValueError):
             WalkParams(**bad)
+    # sizes are plain ints: no bool, float or numpy int
+    good = dict(n=2, steps=10, trials=1, seed=0, mode=GROUP)
+    for name, value in (
+        ("n", 2.5), ("n", True), ("n", np.int64(2)), ("steps", 10.0), ("trials", True),
+        ("trials", 1.0), ("snapshot_every", 2.5), ("burn_in", 2.5), ("burn_in", np.int32(2)),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+            WalkParams(**{**good, name: value})
+    for seed in (True, np.uint64(3)):
+        with pytest.raises(ValueError, match=r"seed must be an int in \[0, 2\^64\)"):
+            WalkParams(**{**good, "seed": seed})
+    # the range messages stay
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        WalkParams(**{**good, "n": 0})
+    with pytest.raises(ValueError, match="^need 0 <= burn_in < steps$"):
+        WalkParams(**{**good, "burn_in": 10})
 
 
 def test_params_budget_rejects_before_allocation(monkeypatch):
@@ -96,9 +112,8 @@ def test_letter_codes_match_the_modulo_formula():
 
 
 def test_draw_codes_are_the_raw_philox_words():
-    # Generator.integers(0, 2^64, uint64) hands back the bit generator's
-    # raw 64-bit words, so _draw's codes would be the same if it read
-    # Philox(key).random_raw(n), which NEP 19 freezes, directly
+    # _draw's codes are Philox(key).random_raw(n), whose stream NEP 19
+    # freezes, reduced modulo the letter count
     size = 10**5
     for seed, stream in ((0, 0), (1, 7), (2**64 - 1, 3)):
         raw = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)).random_raw(size)
@@ -334,7 +349,7 @@ def test_kernel_stacks_are_core_heap():
         stacks = tuple(tuple((abs(v), 1 if v > 0 else -1) for v in col or ()) for col in cols[1:-1])
         assert stacks == heap.columns, word
         assert (cols[0], cols[-1]) == (None, None)
-        assert tuple(in_roof[1:-1]) == tuple(abs(m) for m in core._roof_marks(heap.columns)), word
+        assert tuple(in_roof[1:-1]) == tuple(abs(m) for m in heapcheck.roof_marks(heap.columns)), word
         assert tops[1:-1] == [col[-1][0] if col else 0 for col in heap.columns]
         assert colour[1:-1] == [col[-1][1] if col else 0 for col in heap.columns]
         assert sum(hist) == len(word)
@@ -352,7 +367,7 @@ def test_deposit_is_core_heap():
         heap = core.heap_from_word(word, n, SEMIGROUP)
         assert tops[1:-1] == [col[-1][0] if col else 0 for col in heap.columns], word
         assert (tops[0], tops[-1]) == (0, 0)
-        assert tuple(in_roof[1:-1]) == tuple(abs(m) for m in core._roof_marks(heap.columns)), word
+        assert tuple(in_roof[1:-1]) == tuple(abs(m) for m in heapcheck.roof_marks(heap.columns)), word
         assert max(tops) == max((level for col in heap.columns for level, _ in col), default=0)
         assert counts[1] == sum(in_roof)
         assert sum(hist) == len(word)
@@ -643,9 +658,18 @@ def test_chain_run_validation():
         dict(n=5, steps=100, seed=2**64),
         dict(n=5, steps=100, seed=1.5),
         dict(n=5, steps=100, seed=1, sample_every=-1),
+        dict(n=2.5, steps=10, seed=0),
+        dict(n=5, steps=10.0, seed=0),
+        dict(n=5, steps=100, seed=True),
+        dict(n=5, steps=100, seed=1, burn_in=2.5),
     ):
         with pytest.raises(ValueError):
             walk.roof_chain_run(**bad)
+    for every in (1.5, True, np.int64(2)):
+        with pytest.raises(ValueError, match="^sample_every must be an int, got "):
+            walk.roof_chain_run(5, 100, 1, sample_every=every)
+    with pytest.raises(ValueError, match="^n must be an int, got 2.5$"):
+        walk.roof_chain_run(2.5, 10, 0)
     # the chain resolves its burn-in through the walk's own rule
     assert walk.roof_chain_run(7, 1000, 0).burn_in == WalkParams(7, 1000, 1, 0, GROUP).burn_in == 70
     assert walk.roof_chain_run(7, 5, 0).burn_in == WalkParams(7, 5, 1, 0, GROUP).burn_in == 4
